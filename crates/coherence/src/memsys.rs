@@ -58,10 +58,12 @@ pub enum OverflowKind {
     HtmCapacity,
 }
 
-/// Protocol-level events recorded in checked mode (`CheckCfg::enabled`)
-/// for the `tmcheck` invariant checkers. Distinct from [`CoreNotice`]:
-/// these are observations, not control flow — dropping them changes
-/// nothing about the simulation.
+/// Protocol-level observations, drained by the engine into its event
+/// stream. Distinct from [`CoreNotice`]: these are observations, not
+/// control flow — dropping them changes nothing about the simulation.
+/// NACKs and wake-ups are recorded in checked mode
+/// (`CheckCfg::enabled`) for the `tmcheck` invariant checkers; conflict
+/// edges once [`MemSystem::set_record_conflicts`] armed them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProtoEvent {
     /// `from` (a probed owner) NACKed `to`'s request for `line` under the
@@ -74,6 +76,8 @@ pub enum ProtoEvent {
     /// `from` sent a wake-up to previously rejected core `to` (commit,
     /// abort, or hlend drained its wake list / the signature waiters).
     WakeSent { from: CoreId, to: CoreId },
+    /// A conflict edge resolved by the protocol (forensics).
+    Conflict(ConflictEdge),
 }
 
 /// Scheduled network messages and core notices drained by the engine
@@ -182,11 +186,8 @@ pub struct MemSystem {
     out_msgs: Vec<(Cycle, NetMsg)>,
     notices: Vec<(Cycle, CoreNotice)>,
     proto_events: Vec<(Cycle, ProtoEvent)>,
-    /// Conflict-edge observations for forensics; populated only when
-    /// [`MemSystem::set_record_conflicts`] armed them (the engine does so
-    /// iff an observability sink is attached). Write-only, like
-    /// [`ProtoEvent`]s: dropping them changes nothing.
-    conflicts: Vec<(Cycle, ConflictEdge)>,
+    /// Record [`ProtoEvent::Conflict`] edges (the engine arms this iff an
+    /// observability sink is attached).
     record_conflicts: bool,
     /// `MS_TRACE` debug logging, read once at construction — the sites
     /// below run on every access/message, where an env lookup is a
@@ -231,7 +232,6 @@ impl MemSystem {
             out_msgs: Vec::new(),
             notices: Vec::new(),
             proto_events: Vec::new(),
-            conflicts: Vec::new(),
             record_conflicts: false,
             dbg_trace: std::env::var_os("MS_TRACE").is_some(),
             stats: MemStats::default(),
@@ -269,7 +269,7 @@ impl MemSystem {
 
     fn conflict(&mut self, at: Cycle, edge: ConflictEdge) {
         if self.record_conflicts {
-            self.conflicts.push((at, edge));
+            self.proto_events.push((at, ProtoEvent::Conflict(edge)));
         }
     }
 
@@ -293,8 +293,9 @@ impl MemSystem {
         )
     }
 
-    /// Drain checked-mode protocol observations (empty unless
-    /// `cfg.check.enabled`).
+    /// Drain protocol observations, in recording order (empty unless
+    /// checked mode or conflict recording is on).
+    #[inline]
     pub fn take_proto_events(&mut self) -> Vec<(Cycle, ProtoEvent)> {
         std::mem::take(&mut self.proto_events)
     }
@@ -304,11 +305,6 @@ impl MemSystem {
     /// pure observation and cannot change protocol decisions.
     pub fn set_record_conflicts(&mut self, on: bool) {
         self.record_conflicts = on;
-    }
-
-    /// Drain recorded conflict edges (empty unless armed).
-    pub fn take_conflicts(&mut self) -> Vec<(Cycle, ConflictEdge)> {
-        std::mem::take(&mut self.conflicts)
     }
 
     pub fn noc_stats(&self) -> &noc::NocStats {

@@ -21,18 +21,17 @@
 //! bucket resolved to `htm` / `aborted` / `switchLock` when the
 //! transaction's fate is known (Figs. 9 and 11).
 
+use crate::event::{EngineEvent, EventStream, ParkEnd};
 use crate::exec::GuestExec;
 use crate::flatmem::{FlatMem, WriteBuffer};
 use crate::guest::{GuestOp, GuestResp, TTest};
 use crate::sched::{EvClass, EvDesc, RunEnd, Scheduler};
-use crate::trace::{Trace, TraceKind};
 use coherence::memsys::{AccessKind, AccessResult, CoreNotice, MemSystem};
 use coherence::msg::{NetMsg, TxMode};
 use sim_core::config::{PriorityKind, RejectAction, SystemConfig};
 use sim_core::event::EventQueue;
 use sim_core::fxhash::{FxHashSet, FxHasher};
-use sim_core::latency::{TxnClass, TxnLifecycle};
-use sim_core::obs::{Metric, MetricSpec, ObsEvent, ObsHandle, SpanEnd, SpanKind, Track};
+use sim_core::obs::{Metric, MetricSpec, ObsEvent, ObsHandle};
 use sim_core::prof::{HostProf, ProfPhase, ProfReport};
 use sim_core::stats::{AbortCause, Phase, PhaseTracker, RunStats};
 use sim_core::types::{Addr, CoreId, Cycle};
@@ -106,11 +105,6 @@ struct Ctl<'g> {
     /// hlend).
     in_tx: bool,
     is_stl: bool,
-    /// Per-attempt transaction id stamped on checked-mode access events
-    /// (0 = not inside any atomic section). Every speculative attempt,
-    /// TL/STL lock transaction, and fallback critical section gets a
-    /// fresh id; retries of the same static transaction get new ids.
-    cur_txn: u64,
     tx_insts: u64,
     tx_refs: u64,
     tx_begin_at: Cycle,
@@ -162,7 +156,6 @@ impl Ctl<'_> {
             last_attr: 0,
             in_tx: false,
             is_stl: false,
-            cur_txn: 0,
             tx_insts: 0,
             tx_refs: 0,
             tx_begin_at: 0,
@@ -185,7 +178,7 @@ impl Ctl<'_> {
 }
 
 /// The engine. Construct, [`Engine::register`] each guest executor,
-/// then [`Engine::run`] to completion and [`Engine::into_stats`].
+/// then [`Engine::run_with`] to completion and [`Engine::into_stats`].
 ///
 /// The lifetime `'g` bounds the registered [`GuestExec`]s (a VM guest
 /// borrows its program's kernel; the thread backend is `'static`).
@@ -196,24 +189,18 @@ pub struct Engine<'g> {
     pub mem: FlatMem,
     bufs: Vec<WriteBuffer>,
     ctl: Vec<Ctl<'g>>,
-    /// Per-core lifecycle trackers for latency accounting. Deliberately
-    /// outside [`Ctl`] and the state fingerprint: lifecycle stamps are
-    /// volatile accounting and must not perturb tmverify's state dedup.
-    life: Vec<TxnLifecycle>,
     touched_pages: FxHashSet<u64>,
     barrier_waiting: Vec<CoreId>,
     threads: usize,
     done_count: usize,
     seq: u64,
-    txn_counter: u64,
     stats: RunStats,
     end_time: Cycle,
-    pub trace: Trace,
-    /// Observability sink: `None` (the default) is the uninstrumented
-    /// fast path — every emission site is one `is_some()` branch, and
-    /// sinks are write-only, so the simulation is bit-identical either
-    /// way.
-    obs: Option<ObsHandle>,
+    /// Every consumer of the engine's protocol events (trace, spans,
+    /// latency lifecycles, debug log): fed by [`Engine::emit`] only.
+    /// Its folds are write-only, so the simulation is bit-identical
+    /// whichever consumers are attached.
+    pub(crate) stream: EventStream,
     next_sample: Cycle,
     /// Host-side self-profiler ([`Engine::enable_prof`]): `None` (the
     /// default) is the unprofiled fast path — every scope site is one
@@ -226,13 +213,6 @@ pub struct Engine<'g> {
     /// it ends the run with [`RunEnd::CycleLimit`] instead of panicking
     /// (the `LOCKILLER_MAX_CYCLES` env watchdog still panics).
     max_cycles: Option<Cycle>,
-    /// `LOCKILLER_TRACE` debug logging, read once at construction: the
-    /// per-op/per-response log lines format eagerly, so the check must
-    /// be a field load, not an env lookup in the event loop.
-    dbg_trace: bool,
-    /// `LOCKILLER_WATCH` watched address (`Some(0)` if unparseable),
-    /// read once for the same reason as `dbg_trace`.
-    dbg_watch: Option<u64>,
     /// True while [`Engine::run_with`] is driven by a [`Scheduler`].
     /// Only the scheduler's pick points read [`Engine::state_fingerprint`],
     /// so the per-response `resp_hash` fold in `respond` is skipped on
@@ -259,24 +239,17 @@ impl<'g> Engine<'g> {
             mem,
             bufs: (0..threads).map(|_| WriteBuffer::default()).collect(),
             ctl: (0..threads).map(|_| Ctl::new()).collect(),
-            life: (0..threads).map(|_| TxnLifecycle::default()).collect(),
             touched_pages,
             barrier_waiting: Vec::new(),
             threads,
             done_count: 0,
             seq: 0,
-            txn_counter: 0,
             stats: RunStats::new(threads),
             end_time: 0,
-            trace: Trace::default(),
-            obs: None,
+            stream: EventStream::new(threads, cfg.check.enabled),
             next_sample: 0,
             prof: None,
             max_cycles: None,
-            dbg_trace: std::env::var_os("LOCKILLER_TRACE").is_some(),
-            dbg_watch: std::env::var("LOCKILLER_WATCH")
-                .ok()
-                .map(|w| w.parse().unwrap_or(0)),
             fingerprinting: false,
             cfg,
         }
@@ -294,7 +267,7 @@ impl<'g> Engine<'g> {
     /// sink receives forensics events; recording is write-only and never
     /// feeds back into protocol decisions.
     pub fn set_obs(&mut self, obs: ObsHandle) {
-        self.obs = Some(obs);
+        self.stream.obs = Some(obs);
         self.ms.set_record_conflicts(true);
     }
 
@@ -339,45 +312,16 @@ impl<'g> Engine<'g> {
 
     // ---------------- observability emission ----------------
 
-    #[inline]
-    fn obs_begin(&self, cycle: Cycle, core: CoreId, kind: SpanKind) {
-        if let Some(o) = &self.obs {
-            let track = if kind == SpanKind::HlaArb {
-                Track::Llc
-            } else {
-                Track::Core(core)
-            };
-            o.emit(ObsEvent::SpanBegin {
-                cycle,
-                track,
-                kind,
-                core,
-            });
-        }
-    }
-
-    #[inline]
-    fn obs_end(&self, cycle: Cycle, core: CoreId, kind: SpanKind, end: SpanEnd) {
-        if let Some(o) = &self.obs {
-            let track = if kind == SpanKind::HlaArb {
-                Track::Llc
-            } else {
-                Track::Core(core)
-            };
-            o.emit(ObsEvent::SpanEnd {
-                cycle,
-                track,
-                kind,
-                core,
-                end,
-            });
-        }
+    /// The one emission point for protocol events (see [`crate::event`]).
+    #[inline(always)]
+    fn emit(&mut self, t: Cycle, core: CoreId, ev: EngineEvent) {
+        self.stream.emit(t, core, ev, &mut self.stats);
     }
 
     /// Emit one sample row: engine occupancy gauges and outcome counters,
     /// then the memory system's bank/NoC metrics. Pure observation.
     fn emit_samples(&self, at: Cycle) {
-        let Some(o) = &self.obs else { return };
+        let Some(o) = &self.stream.obs else { return };
         let (htm, lock, fallback) = self.ms.mode_counts();
         let parked = self.ctl.iter().filter(|c| c.parked.is_some()).count() as u64;
         let mut out: Vec<(Metric, u64)> = vec![
@@ -410,15 +354,6 @@ impl<'g> Engine<'g> {
         self.seq
     }
 
-    /// Stamp a fresh atomic-section id on `core` (checked mode only —
-    /// ids are only consumed by access events, which are gated).
-    fn begin_txn(&mut self, core: CoreId) {
-        if self.cfg.check.enabled {
-            self.txn_counter += 1;
-            self.ctl[core].cur_txn = self.txn_counter;
-        }
-    }
-
     // ---------------- phase accounting ----------------
 
     fn attr(&mut self, core: CoreId, upto: Cycle) {
@@ -445,9 +380,6 @@ impl<'g> Engine<'g> {
     // ---------------- responses ----------------
 
     fn respond(&mut self, core: CoreId, now: Cycle, resp: GuestResp) {
-        if self.dbg_trace {
-            self.trace(now, core, &format!("resp {resp:?}"));
-        }
         self.prof_enter(ProfPhase::Stamp);
         self.attr(core, now);
         if self.fingerprinting {
@@ -492,42 +424,13 @@ impl<'g> Engine<'g> {
         for (at, n) in notices {
             self.q.schedule_at(at, Ev::Notice(n));
         }
-        if self.cfg.check.enabled {
-            for (at, ev) in self.ms.take_proto_events() {
-                let (from, kind) = match ev {
-                    coherence::memsys::ProtoEvent::NackSent { from, to, line } => {
-                        (from, TraceKind::NackSent { to, line })
-                    }
-                    coherence::memsys::ProtoEvent::WakeSent { from, to } => {
-                        (from, TraceKind::WakeSent { to })
-                    }
-                };
-                self.trace.record(at, from, kind);
-            }
-        }
-        if let Some(o) = &self.obs {
-            for (cycle, edge) in self.ms.take_conflicts() {
-                o.emit(ObsEvent::Conflict { cycle, edge });
-            }
+        for (at, p) in self.ms.take_proto_events() {
+            let (core, ev) = EngineEvent::from_proto(p);
+            self.emit(at, core, ev);
         }
     }
 
     // ---------------- main loop ----------------
-
-    /// Run until every guest thread has exited; panics on deadlock or a
-    /// blown cycle budget (callers that want to observe those outcomes
-    /// use [`Engine::run_with`]).
-    pub fn run(&mut self) {
-        match self.run_with(None) {
-            RunEnd::Done => {}
-            RunEnd::Deadlock { stuck } => {
-                panic!("deadlock: no events but threads alive (cores {stuck:?} unfinished)")
-            }
-            RunEnd::CycleLimit { at } => {
-                panic!("cycle budget exhausted at cycle {at}")
-            }
-        }
-    }
 
     /// Run until every guest thread has exited, the event queue drains
     /// with live threads (deadlock), or the cycle budget runs out. When
@@ -575,7 +478,7 @@ impl<'g> Engine<'g> {
             if let Some(p) = self.prof.as_mut() {
                 p.note_event(depth);
             }
-            if let Some(every) = self.obs.as_ref().map(ObsHandle::sample_every) {
+            if let Some(every) = self.stream.obs.as_ref().map(ObsHandle::sample_every) {
                 if t >= self.next_sample {
                     self.prof_enter(ProfPhase::ObsSample);
                     while t >= self.next_sample {
@@ -612,7 +515,7 @@ impl<'g> Engine<'g> {
             self.prof_exit();
         }
         self.end_time = self.q.now().max(self.end_time);
-        if let Some(o) = &self.obs {
+        if let Some(o) = &self.stream.obs {
             self.emit_samples(self.end_time);
             o.finish(self.end_time);
         }
@@ -650,26 +553,14 @@ impl<'g> Engine<'g> {
                 self.prof_exit();
             }
             Ev::Notice(n) => self.handle_notice(t, n),
-            Ev::Retry(c, seq) => {
-                if self.ctl[c].parked == Some(seq) {
-                    self.obs_end(t, c, SpanKind::Park, SpanEnd::Retried);
-                    self.ctl[c].parked = None;
-                    self.life[c].unpark(t, &mut self.stats.latency);
-                    self.reissue(t, c);
-                }
+            // A stale sequence tag means the park already ended.
+            Ev::Retry(c, seq) if self.ctl[c].parked == Some(seq) => {
+                self.unpark(t, c, ParkEnd::Retried);
             }
-            Ev::ParkTimeout(c, seq) => {
-                if self.ctl[c].parked == Some(seq) {
-                    self.stats.wakeup_timeouts += 1;
-                    if self.cfg.check.enabled {
-                        self.trace.record(t, c, TraceKind::WakeTimeout);
-                    }
-                    self.obs_end(t, c, SpanKind::Park, SpanEnd::Timeout);
-                    self.ctl[c].parked = None;
-                    self.life[c].unpark(t, &mut self.stats.latency);
-                    self.reissue(t, c);
-                }
+            Ev::ParkTimeout(c, seq) if self.ctl[c].parked == Some(seq) => {
+                self.unpark(t, c, ParkEnd::Timeout);
             }
+            Ev::Retry(..) | Ev::ParkTimeout(..) => {}
         }
     }
 
@@ -1006,7 +897,6 @@ impl<'g> Engine<'g> {
         self.stats.bank_misses = banks.misses;
         self.stats.bank_queued = banks.queued;
         self.stats.bank_queue_peak = banks.queue_peak;
-        self.stats.trace_dropped = self.trace.dropped();
         self.stats.threads = self.threads;
         (self.stats, self.mem)
     }
@@ -1064,23 +954,7 @@ impl<'g> Engine<'g> {
         self.ms.set_prio(core, p);
     }
 
-    fn trace(&self, t: Cycle, core: CoreId, what: &str) {
-        if self.dbg_trace {
-            eprintln!("[{t}] c{core} {what}");
-        }
-    }
-
     fn handle_op(&mut self, t: Cycle, core: CoreId, op: GuestOp) {
-        if self.dbg_trace {
-            self.trace(
-                t,
-                core,
-                &format!(
-                    "op {op:?} in_tx={} doomed={:?}",
-                    self.ctl[core].in_tx, self.ctl[core].doomed
-                ),
-            );
-        }
         // A protocol abort that arrived between ops is delivered on the
         // next transactional interaction. If the memory subsystem has
         // already aborted us but its notice has not landed yet, defer the
@@ -1107,11 +981,7 @@ impl<'g> Engine<'g> {
                 self.start_access(t, core, op, false);
             }
             GuestOp::TxBegin => {
-                self.trace.record(t, core, TraceKind::TxBegin);
-                self.obs_begin(t, core, SpanKind::Txn);
-                self.begin_txn(core);
-                self.life[core].begin_attempt(t);
-                self.stats.tx_starts += 1;
+                self.emit(t, core, EngineEvent::TxBegin);
                 self.ms.begin_htm(core, 0);
                 let c = &mut self.ctl[core];
                 c.in_tx = true;
@@ -1134,9 +1004,6 @@ impl<'g> Engine<'g> {
                 self.schedule_respond(core, t + 1, GuestResp::Value(v));
             }
             GuestOp::TxCommit => {
-                if self.dbg_watch.is_some() {
-                    eprintln!("[{t}] COMMIT c{core} buf={} entries", self.bufs[core].len());
-                }
                 debug_assert!(!self.ctl[core].is_stl, "STL commits via hlend");
                 let (rs, ws) = self.ms.tx_set_sizes(core);
                 self.stats.rs_lines_sum += rs;
@@ -1146,12 +1013,8 @@ impl<'g> Engine<'g> {
                 self.drain_ms();
                 let buf = &mut self.bufs[core];
                 buf.commit(&mut self.mem);
-                self.trace.record(t, core, TraceKind::Commit);
-                self.obs_end(t, core, SpanKind::Txn, SpanEnd::Commit);
-                self.stats.commits += 1;
-                self.life[core].commit(t, TxnClass::HtmCommit, &mut self.stats.latency);
+                self.emit(t, core, EngineEvent::Commit);
                 self.ctl[core].in_tx = false;
-                self.ctl[core].cur_txn = 0;
                 self.ctl[core].resolve = Some(Phase::Htm);
                 self.ctl[core].phase_after = Some(Phase::NonTran);
                 self.schedule_respond(core, t + self.cfg.commit_penalty, GuestResp::Done);
@@ -1167,52 +1030,30 @@ impl<'g> Engine<'g> {
                     // The lifecycle opens now so arbitration wait counts
                     // toward the lock-commit latency; the hold interval
                     // opens at the grant.
-                    self.life[core].begin_attempt(t);
                     self.ctl[core].tl_pending = true;
-                    self.obs_begin(t, core, SpanKind::HlaArb);
-                    self.ms.hla_request(t, core, false);
-                    self.drain_ms();
+                    self.request_hla(t, core, false);
                 } else {
-                    self.ms.enter_lock(core, false);
-                    self.trace.record(t, core, TraceKind::HlBegin);
-                    self.obs_begin(t, core, SpanKind::TlLock);
-                    self.begin_txn(core);
-                    self.life[core].begin_hold(t);
-                    self.stats.fallbacks += 1;
-                    self.set_phase(core, t, Phase::Lock);
-                    self.schedule_respond(core, t + 2, GuestResp::Done);
+                    self.enter_tl(t, core, false);
                 }
             }
             GuestOp::HlEnd => {
-                self.trace.record(t, core, TraceKind::HlEnd);
-                if self.ctl[core].is_stl {
-                    self.obs_end(t, core, SpanKind::StlLock, SpanEnd::Commit);
-                } else {
-                    self.obs_end(t, core, SpanKind::TlLock, SpanEnd::End);
-                }
-                if self.ctl[core].is_stl {
+                let stl = self.ctl[core].is_stl;
+                self.emit(t, core, EngineEvent::HlEnd { stl });
+                if stl {
                     let (rs, ws) = self.ms.tx_set_sizes(core);
                     self.stats.rs_lines_sum += rs;
                     self.stats.ws_lines_sum += ws;
                     self.stats.tx_cycles_sum += t - self.ctl[core].tx_begin_at;
-                    self.ms.exit_lock(t, core);
-                    self.drain_ms();
-                    self.stats.commits += 1;
-                    self.stats.stl_commits += 1;
-                    self.life[core].commit(t, TxnClass::StlCommit, &mut self.stats.latency);
-                    let c = &mut self.ctl[core];
+                }
+                self.ms.exit_lock(t, core);
+                self.drain_ms();
+                let c = &mut self.ctl[core];
+                if stl {
                     c.in_tx = false;
                     c.is_stl = false;
                     c.resolve = Some(Phase::SwitchLock);
-                    c.phase_after = Some(Phase::NonTran);
-                } else {
-                    self.ms.exit_lock(t, core);
-                    self.drain_ms();
-                    self.stats.lock_commits += 1;
-                    self.life[core].commit(t, TxnClass::LockCommit, &mut self.stats.latency);
-                    self.ctl[core].phase_after = Some(Phase::NonTran);
                 }
-                self.ctl[core].cur_txn = 0;
+                c.phase_after = Some(Phase::NonTran);
                 self.schedule_respond(core, t + 2, GuestResp::Done);
             }
             GuestOp::SpinBegin => {
@@ -1225,23 +1066,13 @@ impl<'g> Engine<'g> {
             }
             GuestOp::FallbackBegin => {
                 self.ms.set_fallback(core, true);
-                self.trace.record(t, core, TraceKind::Fallback);
-                self.obs_begin(t, core, SpanKind::Fallback);
-                self.begin_txn(core);
-                self.life[core].begin_hold(t);
-                self.stats.fallbacks += 1;
+                self.emit(t, core, EngineEvent::Fallback);
                 self.set_phase(core, t, Phase::Lock);
                 self.schedule_respond(core, t, GuestResp::Done);
             }
             GuestOp::FallbackEnd => {
                 self.ms.set_fallback(core, false);
-                if self.cfg.check.enabled {
-                    self.trace.record(t, core, TraceKind::FallbackEnd);
-                }
-                self.obs_end(t, core, SpanKind::Fallback, SpanEnd::End);
-                self.ctl[core].cur_txn = 0;
-                self.stats.lock_commits += 1;
-                self.life[core].commit(t, TxnClass::LockCommit, &mut self.stats.latency);
+                self.emit(t, core, EngineEvent::FallbackEnd);
                 self.set_phase(core, t, Phase::NonTran);
                 self.schedule_respond(core, t, GuestResp::Done);
             }
@@ -1320,6 +1151,28 @@ impl<'g> Engine<'g> {
         }
     }
 
+    /// Ask the LLC's HLA arbiter for a TL entry or an STL switch; the
+    /// answer arrives as [`CoreNotice::HlaResult`].
+    fn request_hla(&mut self, t: Cycle, core: CoreId, stl: bool) {
+        self.emit(t, core, EngineEvent::HlaRequest { stl });
+        self.ms.hla_request(t, core, stl);
+        self.drain_ms();
+    }
+
+    /// Enter a TL lock transaction (`hlbegin`), on an HLA grant if
+    /// `granted`.
+    fn enter_tl(&mut self, t: Cycle, core: CoreId, granted: bool) {
+        self.ms.enter_lock(core, false);
+        if granted {
+            // Record the grant so hlend releases the arbiter.
+            self.ms.finish_hla(t, core, true);
+            self.drain_ms();
+        }
+        self.emit(t, core, EngineEvent::HlBegin { granted });
+        self.set_phase(core, t, Phase::Lock);
+        self.schedule_respond(core, t + 2, GuestResp::Done);
+    }
+
     /// Capacity overflow in HTM mode: proactive switch (Fig. 6) or abort.
     fn handle_overflow(&mut self, t: Cycle, core: CoreId) {
         let can_switch = self.cfg.policy.switching_mode
@@ -1329,9 +1182,7 @@ impl<'g> Engine<'g> {
         if can_switch {
             self.ctl[core].switch_tried = true;
             self.ctl[core].switch_pending = true;
-            self.obs_begin(t, core, SpanKind::HlaArb);
-            self.ms.hla_request(t, core, true);
-            self.drain_ms();
+            self.request_hla(t, core, true);
         } else {
             self.do_abort(t, core, AbortCause::Of);
         }
@@ -1348,104 +1199,42 @@ impl<'g> Engine<'g> {
         // then would leak a dying transaction's store (the abort notice
         // converts the response to Aborted and discards the buffer).
         let htm = self.ctl[core].in_tx && !self.ctl[core].is_stl;
-        if let Some(watch) = self.dbg_watch {
-            let a = match op {
-                GuestOp::Load(a) | GuestOp::Store(a, _) | GuestOp::Cas(a, ..) => Some(a),
-                _ => None,
-            };
-            if a.map(|a| a.0 == watch).unwrap_or(false) {
-                eprintln!(
-                    "[{t}] WATCH c{core} {op:?} htm={htm} mode={:?} flat={}",
-                    self.ms.core_mode(core),
-                    self.mem.read(Addr(watch))
-                );
+        let read = |e: &Self, a: Addr| {
+            if htm {
+                e.bufs[core].read(&e.mem, a)
+            } else {
+                e.mem.read(a)
             }
-        }
-        // Checked mode records access events at the instant the value
-        // resolves: trace-vector order therefore matches flat-memory /
-        // write-buffer visibility order exactly, which is what the
-        // serializability checker keys its edges on.
-        let checked = self.cfg.check.enabled;
-        let txn = self.ctl[core].cur_txn;
-        let prio = self.ms.prio_of(core);
-        let resp = match op {
-            GuestOp::Load(a) => {
-                let v = if htm {
-                    self.bufs[core].read(&self.mem, a)
-                } else {
-                    self.mem.read(a)
-                };
-                if checked {
-                    self.trace.record(
-                        t,
-                        core,
-                        TraceKind::Read {
-                            line: a.line(),
-                            txn,
-                            prio,
-                        },
-                    );
-                }
-                GuestResp::Value(v)
-            }
-            GuestOp::Store(a, v) => {
-                if htm {
-                    self.bufs[core].write(a, v);
-                } else {
-                    self.mem.write(a, v);
-                }
-                if checked {
-                    self.trace.record(
-                        t,
-                        core,
-                        TraceKind::Write {
-                            line: a.line(),
-                            txn,
-                            buffered: htm,
-                        },
-                    );
-                }
-                GuestResp::Done
-            }
+        };
+        // `(address, value read, value written)`.
+        let (a, loaded, stored) = match op {
+            GuestOp::Load(a) => (a, Some(read(self, a)), None),
+            GuestOp::Store(a, v) => (a, None, Some(v)),
             GuestOp::Cas(a, expected, new) => {
-                let cur = if htm {
-                    self.bufs[core].read(&self.mem, a)
-                } else {
-                    self.mem.read(a)
-                };
-                if checked {
-                    self.trace.record(
-                        t,
-                        core,
-                        TraceKind::Read {
-                            line: a.line(),
-                            txn,
-                            prio,
-                        },
-                    );
-                }
-                if cur == expected {
-                    if htm {
-                        self.bufs[core].write(a, new);
-                    } else {
-                        self.mem.write(a, new);
-                    }
-                    if checked {
-                        self.trace.record(
-                            t,
-                            core,
-                            TraceKind::Write {
-                                line: a.line(),
-                                txn,
-                                buffered: htm,
-                            },
-                        );
-                    }
-                }
-                GuestResp::Value(cur)
+                let cur = read(self, a);
+                (a, Some(cur), (cur == expected).then_some(new))
             }
             other => unreachable!("complete_access on {other:?}"),
         };
+        // Access events are emitted at the instant the value resolves:
+        // stream order therefore matches flat-memory / write-buffer
+        // visibility order exactly, which is what the serializability
+        // checker keys its edges on.
+        let line = a.line();
+        if loaded.is_some() {
+            let prio = self.ms.prio_of(core);
+            self.emit(t, core, EngineEvent::Read { line, prio });
+        }
+        if let Some(v) = stored {
+            if htm {
+                self.bufs[core].write(a, v);
+            } else {
+                self.mem.write(a, v);
+            }
+            let buffered = htm;
+            self.emit(t, core, EngineEvent::Write { line, buffered });
+        }
+        let resp = loaded.map_or(GuestResp::Done, GuestResp::Value);
         self.schedule_respond(core, t, resp);
     }
 
@@ -1467,25 +1256,15 @@ impl<'g> Engine<'g> {
 
     /// Common abort delivery (memory-subsystem side already cleaned up).
     fn deliver_abort(&mut self, t: Cycle, core: CoreId, cause: AbortCause) {
-        if self.dbg_watch.is_some() {
-            eprintln!(
-                "[{t}] ABORT c{core} {cause:?} buf={}",
-                self.bufs[core].len()
-            );
-        }
         self.bufs[core].discard();
         self.attr(core, t);
-        self.life[core].on_abort(t, cause, &mut self.stats.latency);
-        if self.ctl[core].parked.is_some() {
-            self.obs_end(t, core, SpanKind::Park, SpanEnd::End);
-        }
-        self.obs_end(t, core, SpanKind::Txn, SpanEnd::Abort(cause));
+        let parked = self.ctl[core].parked.is_some();
+        self.emit(t, core, EngineEvent::Abort { cause, parked });
         let c = &mut self.ctl[core];
         c.tracker.resolve_spec(Phase::Aborted);
         c.spec = false;
         c.in_tx = false;
         c.is_stl = false;
-        c.cur_txn = 0;
         debug_assert!(!c.switch_pending, "abort cannot race an applyingHLA switch");
         c.cur_op = None;
         c.deferred_op = None;
@@ -1495,16 +1274,12 @@ impl<'g> Engine<'g> {
         c.phase = Phase::Rollback;
         c.phase_after = Some(Phase::NonTran);
         self.ms.cancel_pending(core);
-        self.trace.record(t, core, TraceKind::Abort(cause));
         self.schedule_respond(core, t + self.cfg.abort_penalty, GuestResp::Aborted(cause));
     }
 
     // ---------------- notices ----------------
 
     fn handle_notice(&mut self, t: Cycle, n: CoreNotice) {
-        if self.dbg_trace {
-            eprintln!("[{t}] notice {n:?}");
-        }
         match n {
             CoreNotice::AccessDone { core } => {
                 if self.ctl[core].cur_op.is_some() && self.ctl[core].parked.is_none() {
@@ -1512,7 +1287,7 @@ impl<'g> Engine<'g> {
                 }
             }
             CoreNotice::AccessRejected { core, by_sig } => {
-                self.trace.record(t, core, TraceKind::Rejected { by_sig });
+                self.emit(t, core, EngineEvent::Rejected { by_sig });
                 self.handle_reject(t, core, by_sig);
             }
             CoreNotice::TxAborted { core, cause } => {
@@ -1535,12 +1310,8 @@ impl<'g> Engine<'g> {
             }
             CoreNotice::Wakeup { core } => {
                 if self.ctl[core].parked.is_some() {
-                    self.trace.record(t, core, TraceKind::Woken);
-                    self.obs_end(t, core, SpanKind::Park, SpanEnd::Woken);
-                    self.ctl[core].parked = None;
                     self.ctl[core].wakeup_banked = false;
-                    self.life[core].unpark(t, &mut self.stats.latency);
-                    self.reissue(t, core);
+                    self.unpark(t, core, ParkEnd::Woken);
                 } else if self.ctl[core].cur_op.is_some() {
                     // The reject this wake-up answers is still in flight
                     // (wake-ups travel core-to-core and can overtake the
@@ -1555,42 +1326,24 @@ impl<'g> Engine<'g> {
                         "TL authorization is granted or queued, never denied"
                     );
                     self.ctl[core].tl_pending = false;
-                    self.obs_end(t, core, SpanKind::HlaArb, SpanEnd::Granted);
-                    self.ms.enter_lock(core, false);
-                    // Record the grant so hlend releases the arbiter.
-                    self.ms.finish_hla(t, core, true);
-                    self.drain_ms();
-                    self.trace.record(t, core, TraceKind::HlBegin);
-                    self.obs_begin(t, core, SpanKind::TlLock);
-                    self.begin_txn(core);
-                    self.life[core].begin_hold(t);
-                    self.stats.fallbacks += 1;
-                    self.set_phase(core, t, Phase::Lock);
-                    self.schedule_respond(core, t + 2, GuestResp::Done);
+                    self.enter_tl(t, core, true);
                 } else if self.ctl[core].switch_pending {
                     self.ctl[core].switch_pending = false;
                     if granted {
                         // Successful proactive switch: speculative state
                         // becomes permanent, priority becomes lock-level,
                         // and the blocked access retries in STL mode.
-                        self.obs_end(t, core, SpanKind::HlaArb, SpanEnd::Granted);
-                        self.obs_end(t, core, SpanKind::Txn, SpanEnd::Switched);
-                        self.obs_begin(t, core, SpanKind::StlLock);
                         self.ms.enter_lock(core, true);
                         self.bufs[core].commit(&mut self.mem);
                         self.ms.finish_hla(t, core, true);
                         self.drain_ms();
                         self.ctl[core].is_stl = true;
-                        self.life[core].begin_hold(t);
-                        self.trace.record(t, core, TraceKind::SwitchGranted);
-                        self.stats.switches_granted += 1;
+                        self.emit(t, core, EngineEvent::SwitchGranted);
                         self.reissue(t, core);
                     } else {
-                        self.obs_end(t, core, SpanKind::HlaArb, SpanEnd::Denied);
                         self.ms.finish_hla(t, core, false);
                         self.drain_ms();
-                        self.trace.record(t, core, TraceKind::SwitchDenied);
-                        self.stats.switches_denied += 1;
+                        self.emit(t, core, EngineEvent::SwitchDenied);
                         self.do_abort(t, core, AbortCause::Of);
                     }
                 }
@@ -1600,48 +1353,91 @@ impl<'g> Engine<'g> {
 
     fn handle_reject(&mut self, t: Cycle, core: CoreId, by_sig: bool) {
         let action = self.cfg.policy.reject_action;
-        let in_tx = self.ctl[core].in_tx;
         match action {
-            RejectAction::SelfAbort if in_tx && !by_sig => {
+            RejectAction::SelfAbort if self.ctl[core].in_tx && !by_sig => {
                 self.do_abort(t, core, AbortCause::Mc);
+                return;
             }
-            RejectAction::RetryLater => {
-                let seq = self.next_seq();
-                self.ctl[core].parked = Some(seq);
-                self.life[core].park(t);
-                self.obs_begin(t, core, SpanKind::Park);
-                self.q
-                    .schedule_at(t + self.cfg.policy.retry_pause, Ev::Retry(core, seq));
+            RejectAction::RetryLater => {}
+            // WaitWakeup (and non-tx/sig rejects under SelfAbort, which
+            // cannot abort anything useful): park until the rejecter's
+            // commit/abort/hlend wakes us — unless the wake-up already
+            // arrived, in which case retry now.
+            _ if self.ctl[core].wakeup_banked => {
+                self.ctl[core].wakeup_banked = false;
+                self.emit(t, core, EngineEvent::WakeBanked);
+                self.reissue(t, core);
+                return;
             }
-            _ => {
-                // WaitWakeup (and non-tx/sig rejects under SelfAbort,
-                // which cannot abort anything useful): park until the
-                // rejecter's commit/abort/hlend wakes us — unless the
-                // wake-up already arrived, in which case retry now.
-                if self.ctl[core].wakeup_banked {
-                    self.ctl[core].wakeup_banked = false;
-                    if self.cfg.check.enabled {
-                        // The wake-up overtook its reject; checked mode
-                        // still wants the Rejected -> Woken pairing.
-                        self.trace.record(t, core, TraceKind::Woken);
-                    }
-                    self.reissue(t, core);
-                    return;
-                }
-                let seq = self.next_seq();
-                self.ctl[core].parked = Some(seq);
-                self.life[core].park(t);
-                self.obs_begin(t, core, SpanKind::Park);
-                // wakeup_timeout == Cycle::MAX disables the safety net
-                // entirely (schedule-explorer mode: a lost wake-up must
-                // surface as a deadlock, not a silent timeout recovery).
-                if self.cfg.policy.wakeup_timeout != Cycle::MAX {
-                    self.q.schedule_at(
-                        t + self.cfg.policy.wakeup_timeout,
-                        Ev::ParkTimeout(core, seq),
-                    );
-                }
-            }
+            _ => {}
         }
+        let seq = self.next_seq();
+        self.ctl[core].parked = Some(seq);
+        self.emit(t, core, EngineEvent::Park);
+        if action == RejectAction::RetryLater {
+            self.q
+                .schedule_at(t + self.cfg.policy.retry_pause, Ev::Retry(core, seq));
+        } else if self.cfg.policy.wakeup_timeout != Cycle::MAX {
+            // wakeup_timeout == Cycle::MAX disables the safety net
+            // entirely (schedule-explorer mode: a lost wake-up must
+            // surface as a deadlock, not a silent timeout recovery).
+            self.q.schedule_at(
+                t + self.cfg.policy.wakeup_timeout,
+                Ev::ParkTimeout(core, seq),
+            );
+        }
+    }
+
+    /// End `core`'s park and reissue its request.
+    fn unpark(&mut self, t: Cycle, core: CoreId, how: ParkEnd) {
+        self.ctl[core].parked = None;
+        self.emit(t, core, EngineEvent::Unpark(how));
+        self.reissue(t, core);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::flatmem::SetupCtx;
+    use crate::trace::Trace;
+
+    /// A guest replaying a fixed op list, then exiting.
+    struct Script(std::vec::IntoIter<GuestOp>);
+
+    impl GuestExec for Script {
+        fn resume(&mut self, _resp: GuestResp) -> GuestOp {
+            self.0.next().unwrap_or(GuestOp::Exit)
+        }
+    }
+
+    /// Run `txns` single-store transactions on one core with `trace`
+    /// installed; returns the stats and the trace.
+    fn run_script(txns: u64, trace: Trace) -> (RunStats, Trace) {
+        let mut setup = SetupCtx::new();
+        let lock = setup.alloc(8);
+        let data = setup.alloc(8);
+        let (mem, pages) = setup.into_mem();
+        let mut e = Engine::new(SystemConfig::testing(2), mem, 1, lock, pages);
+        e.stream.trace = trace;
+        let ops: Vec<GuestOp> = (0..txns)
+            .flat_map(|i| [GuestOp::TxBegin, GuestOp::Store(data, i), GuestOp::TxCommit])
+            .collect();
+        e.register(0, Box::new(Script(ops.into_iter())));
+        assert!(e.run_with(None).is_done());
+        let trace = std::mem::take(&mut e.stream.trace);
+        let (stats, _) = e.into_stats();
+        (stats, trace)
+    }
+
+    #[test]
+    fn trace_dropped_counts_exactly_the_events_over_capacity() {
+        let (full_stats, full) = run_script(5, Trace::enabled());
+        assert_eq!(full_stats.trace_dropped, 0);
+        assert_eq!(full.events().len(), 10, "TxBegin + Commit per transaction");
+        let (stats, capped) = run_script(5, Trace::with_capacity(3));
+        assert_eq!(capped.events(), &full.events()[..3], "prefix retained");
+        assert_eq!(capped.dropped(), 7);
+        assert_eq!(stats.trace_dropped, 7);
     }
 }

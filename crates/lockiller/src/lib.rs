@@ -26,6 +26,7 @@
 //! bit-deterministic either way.
 
 pub mod engine;
+mod event;
 pub mod exec;
 pub mod flatmem;
 pub mod guest;

@@ -281,7 +281,7 @@ impl Runner {
         }
         let traced = self.tracing || cfg.check.enabled;
         if traced {
-            engine.trace = Trace::enabled();
+            engine.stream.trace = Trace::enabled();
         }
         if let Some(h) = &self.obs {
             engine.set_obs(h.clone());
@@ -302,14 +302,9 @@ impl Runner {
             Backend::Vm => self.drive_vm(prog, &mut engine, sched, gpolicy, lock_addr),
         };
 
-        let trace = traced.then(|| std::mem::take(&mut engine.trace));
+        let trace = traced.then(|| std::mem::take(&mut engine.stream.trace));
         let host_prof = engine.take_prof();
-        let (mut stats, mem) = engine.into_stats();
-        if let Some(t) = &trace {
-            // `into_stats` read the drop counter from the (already taken)
-            // engine-side trace; restore it from the real one.
-            stats.trace_dropped = t.dropped();
-        }
+        let (stats, mem) = engine.into_stats();
         RunOutput {
             stats,
             trace,

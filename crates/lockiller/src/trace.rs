@@ -1,7 +1,8 @@
-//! Structured execution tracing: the engine can record per-core
-//! transactional events (begin/commit/abort/fallback/switch/reject) with
-//! cycle timestamps, for debugging, visualization, and tests that assert
-//! on event orderings rather than aggregate counters.
+//! Structured execution tracing: the stored view of the engine's event
+//! stream (DESIGN.md §21) — per-core transactional events
+//! (begin/commit/abort/fallback/switch/reject) with cycle timestamps,
+//! for debugging, visualization, and tests that assert on event
+//! orderings rather than aggregate counters.
 
 use sim_core::stats::AbortCause;
 use sim_core::types::{CoreId, Cycle, LineAddr};
@@ -133,14 +134,20 @@ impl Trace {
         }
     }
 
+    /// Store one event. Returns whether it was kept: `false` when
+    /// tracing is disabled or the storage bound is reached (the latter
+    /// counted in [`Trace::dropped`]).
     #[inline]
-    pub fn record(&mut self, cycle: Cycle, core: CoreId, kind: TraceKind) {
-        if self.enabled {
-            if self.events.len() < self.cap {
-                self.events.push(TraceEvent { cycle, core, kind });
-            } else {
-                self.dropped += 1;
-            }
+    pub fn record(&mut self, cycle: Cycle, core: CoreId, kind: TraceKind) -> bool {
+        if !self.enabled {
+            return false;
+        }
+        if self.events.len() < self.cap {
+            self.events.push(TraceEvent { cycle, core, kind });
+            true
+        } else {
+            self.dropped += 1;
+            false
         }
     }
 
@@ -223,8 +230,7 @@ mod tests {
         assert_eq!(t.events().len(), 2);
         assert_eq!(t.dropped(), 2);
         assert_eq!(t.events()[1].cycle, 2, "prefix retained, not a ring");
-        // Taking the events does not reset the drop counter: the engine
-        // reads it afterwards to populate `RunStats::trace_dropped`.
+        // Taking the events does not reset the drop counter.
         let _ = t.take();
         assert_eq!(t.dropped(), 2);
     }

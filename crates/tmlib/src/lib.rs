@@ -21,7 +21,6 @@ pub mod hashtable;
 pub mod heap;
 pub mod list;
 pub mod queue;
-pub mod rbtree;
 pub mod tmap;
 
 pub use alloc::TmAlloc;
@@ -30,7 +29,6 @@ pub use hashtable::HashTable;
 pub use heap::Heap;
 pub use list::List;
 pub use queue::Queue;
-pub use rbtree::RbTree;
 pub use tmap::TMap;
 
 use lockiller::guest::{Abort, TxCtx};

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use sim_core::config::SystemConfig;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
-use tmlib::{Heap, List, Queue, RbTree, TMap, TmAlloc};
+use tmlib::{Heap, List, Queue, TMap, TmAlloc};
 
 /// Run a closure as one transaction on a 1-core simulated system.
 fn run_tx(
@@ -120,87 +120,6 @@ proptest! {
             }
         }
         prop_assert_eq!(results.into_inner().unwrap(), want);
-    }
-
-    #[test]
-    fn rbtree_matches_btreemap_with_invariants(ops in prop::collection::vec(map_op_strategy(), 1..120)) {
-        let handles: Mutex<Option<(RbTree, TmAlloc)>> = Mutex::new(None);
-        let results: Mutex<Vec<Option<u64>>> = Mutex::new(Vec::new());
-        let final_mem: Mutex<Option<lockiller::flatmem::FlatMem>> = Mutex::new(None);
-        let ops2 = ops.clone();
-        {
-            struct P<'a> {
-                ops: &'a [MapOp],
-                handles: &'a Mutex<Option<(RbTree, TmAlloc)>>,
-                results: &'a Mutex<Vec<Option<u64>>>,
-            }
-            impl Program for P<'_> {
-                fn name(&self) -> &str {
-                    "rb-prop"
-                }
-                fn setup(&mut self, s: &mut SetupCtx, _t: usize) {
-                    let alloc = TmAlloc::setup(s, 1, 1 << 18);
-                    let t = RbTree::setup(s);
-                    *self.handles.lock().unwrap() = Some((t, alloc));
-                }
-                fn run(&self, ctx: &mut GuestCtx) {
-                    let (t, alloc) = self.handles.lock().unwrap().unwrap();
-                    let mut out = Vec::new();
-                    ctx.critical(|tx| {
-                        out.clear();
-                        for op in self.ops {
-                            match *op {
-                                MapOp::Insert(k, v) => {
-                                    out.push(Some(t.insert(tx, &alloc, k, v)? as u64));
-                                }
-                                MapOp::Remove(k) => out.push(t.remove(tx, k)?),
-                                MapOp::Find(k) => out.push(t.find(tx, k)?),
-                                MapOp::Update(k, v) => {
-                                    out.push(Some(t.update(tx, k, v)? as u64));
-                                }
-                            }
-                        }
-                        Ok(())
-                    });
-                    *self.results.lock().unwrap() = out;
-                }
-            }
-            let mut prog = P { ops: &ops2, handles: &handles, results: &results };
-            let out = Runner::new(SystemKind::LockillerTm)
-                .threads(1)
-                .config(SystemConfig::testing(2))
-                .run(&mut prog);
-            *final_mem.lock().unwrap() = Some(out.mem);
-        }
-        let (t, _) = handles.lock().unwrap().unwrap();
-        let mem = final_mem.lock().unwrap().take().unwrap();
-        t.check_invariants(&mem).map_err(TestCaseError::fail)?;
-        // Oracle.
-        let mut oracle = BTreeMap::new();
-        let mut want = Vec::new();
-        for op in &ops {
-            match *op {
-                MapOp::Insert(k, v) => {
-                    let fresh = !oracle.contains_key(&k);
-                    if fresh {
-                        oracle.insert(k, v);
-                    }
-                    want.push(Some(fresh as u64));
-                }
-                MapOp::Remove(k) => want.push(oracle.remove(&k)),
-                MapOp::Find(k) => want.push(oracle.get(&k).copied()),
-                MapOp::Update(k, v) => {
-                    let hit = oracle.contains_key(&k);
-                    if hit {
-                        oracle.insert(k, v);
-                    }
-                    want.push(Some(hit as u64));
-                }
-            }
-        }
-        prop_assert_eq!(results.into_inner().unwrap(), want);
-        let oracle_v: Vec<(u64, u64)> = oracle.into_iter().collect();
-        prop_assert_eq!(t.snapshot(&mem), oracle_v);
     }
 
     #[test]
