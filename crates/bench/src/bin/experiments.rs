@@ -12,7 +12,7 @@
 //! recorded in EXPERIMENTS.md).
 //!
 //! `--backend vm` runs the `engine` battery's VM-capable points on the
-//! in-process guest VM instead of the OS-thread rendezvous; simulated
+//! bytecode guest VM instead of their native async bodies; simulated
 //! results are bit-identical, only host metrics move (the CI
 //! `guestvm-smoke` job relies on this).
 //!

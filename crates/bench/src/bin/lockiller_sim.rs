@@ -7,9 +7,9 @@
 //!               [--retries N] [--seed N] [--backend threads|vm] [--timeline]
 //! ```
 //!
-//! `--backend vm` runs the workload on the in-process guest VM (only
+//! `--backend vm` runs the workload on the bytecode guest VM (only
 //! workloads whose kernels compile to `guestvm` bytecode); results are
-//! bit-identical to the default OS-thread backend.
+//! bit-identical to the default native backend.
 
 use lockiller::runner::Runner;
 use lockiller::system::SystemKind;

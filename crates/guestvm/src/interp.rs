@@ -3,9 +3,9 @@
 //!
 //! Both backends run kernels through [`Frame::fetch`]:
 //!
-//! - [`run_on_ctx`] drives a kernel over a [`GuestCtx`] on the
-//!   OS-thread backend — every fetched op becomes the corresponding
-//!   blocking `GuestCtx` call, and critical sections become
+//! - [`run_on_ctx`] drives a kernel over a [`GuestCtx`] on the native
+//!   backend — every fetched op becomes the corresponding awaited
+//!   `GuestCtx` call, and critical sections become
 //!   [`GuestCtx::critical`] closures (the hand-written runtime supplies
 //!   the whole retry protocol);
 //! - `crate::vm::GuestVm` embeds a `Frame` in its resumable state
@@ -145,13 +145,13 @@ impl Frame {
     }
 }
 
-/// Run `kernel` to completion over a [`GuestCtx`] — the OS-thread
-/// backend for kernel programs. Op-for-op identical to the VM backend
-/// on the same kernel: plain ops map to the blocking `GuestCtx` calls
+/// Run `kernel` to completion over a [`GuestCtx`] — the native backend
+/// for kernel programs. Op-for-op identical to the VM backend on the
+/// same kernel: plain ops map to the awaited `GuestCtx` calls
 /// and each critical section runs under [`GuestCtx::critical`] with the
 /// registers captured at `CritBegin` restored on every (re-)execution
 /// of the body, mirroring the VM's rollback rule.
-pub fn run_on_ctx(kernel: &Kernel, ctx: &mut GuestCtx) {
+pub async fn run_on_ctx(kernel: &Kernel, ctx: &mut GuestCtx) {
     let tid = ctx.tid;
     let threads = ctx.threads;
     let mut f = Frame::new(kernel);
@@ -161,24 +161,27 @@ pub fn run_on_ctx(kernel: &Kernel, ctx: &mut GuestCtx) {
             Fetch::CritEnd => unreachable!("validated kernel: CritEnd outside a section"),
             Fetch::Op(o) => match o.op {
                 GuestOp::Load(a) => {
-                    let v = ctx.load(a);
+                    let v = ctx.load(a).await;
                     f.put(o.dst, v);
                 }
-                GuestOp::Store(a, v) => ctx.store(a, v),
+                GuestOp::Store(a, v) => ctx.store(a, v).await,
                 GuestOp::Cas(a, e, n) => {
-                    let v = ctx.cas(a, e, n);
+                    let v = ctx.cas(a, e, n).await;
                     f.put(o.dst, v);
                 }
-                GuestOp::Compute(n) => ctx.compute(n),
-                GuestOp::Barrier => ctx.barrier(),
-                GuestOp::PageTouch(p) => ctx.page_touch(p).expect("abort on a plain page touch"),
+                GuestOp::Compute(n) => ctx.compute(n).await,
+                GuestOp::Barrier => ctx.barrier().await,
+                GuestOp::PageTouch(p) => ctx
+                    .page_touch(p)
+                    .await
+                    .expect("abort on a plain page touch"),
                 other => unreachable!("fetch produced non-kernel op {other:?}"),
             },
             Fetch::CritBegin => {
                 let body_pc = f.pc;
                 let saved = f.regs.clone();
                 let frame = &mut f;
-                ctx.critical(|tx| {
+                ctx.critical(async |tx| {
                     // Register rollback: every execution of the body
                     // starts from the state captured at CritBegin.
                     frame.regs.copy_from_slice(&saved);
@@ -188,12 +191,12 @@ pub fn run_on_ctx(kernel: &Kernel, ctx: &mut GuestCtx) {
                             Fetch::CritEnd => return Ok(()),
                             Fetch::Op(o) => match o.op {
                                 GuestOp::Load(a) => {
-                                    let v = tx.load(a)?;
+                                    let v = tx.load(a).await?;
                                     frame.put(o.dst, v);
                                 }
-                                GuestOp::Store(a, v) => tx.store(a, v)?,
-                                GuestOp::Compute(n) => tx.compute(n)?,
-                                GuestOp::PageTouch(p) => tx.page_touch(p)?,
+                                GuestOp::Store(a, v) => tx.store(a, v).await?,
+                                GuestOp::Compute(n) => tx.compute(n).await?,
+                                GuestOp::PageTouch(p) => tx.page_touch(p).await?,
                                 other => {
                                     unreachable!("validated kernel: {other:?} inside a section")
                                 }
@@ -202,7 +205,8 @@ pub fn run_on_ctx(kernel: &Kernel, ctx: &mut GuestCtx) {
                             Fetch::Halt => unreachable!("validated kernel: Halt inside a section"),
                         }
                     }
-                });
+                })
+                .await;
             }
         }
     }

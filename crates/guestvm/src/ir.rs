@@ -3,8 +3,8 @@
 //!
 //! The instruction set splits into **pure** instructions (register
 //! arithmetic, moves, branches — executed inline by the VM in zero
-//! simulated time, exactly like host-side Rust between two `GuestCtx`
-//! calls under the thread backend) and **op** instructions (loads,
+//! simulated time, exactly like host-side Rust between two awaited
+//! `GuestCtx` calls in a native body) and **op** instructions (loads,
 //! stores, CAS, compute, barrier, page touches — each producing exactly
 //! one [`lockiller::GuestOp`] rendezvous with the engine).
 //!

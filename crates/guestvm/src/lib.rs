@@ -1,17 +1,18 @@
-//! # guestvm — the in-process resumable guest execution core
+//! # guestvm — the bytecode guest execution core
 //!
-//! Guest programs for the LockillerTM engine originally ran on OS
-//! threads in strict rendezvous with the discrete-event loop: two host
-//! context switches per simulated guest operation. This crate replaces
-//! that with a compiled alternative behind the same
-//! [`lockiller::GuestExec`] seam:
+//! Guest programs for the LockillerTM engine run as native async Rust
+//! bodies polled in-process. This crate adds a compiled alternative
+//! behind the same [`lockiller::GuestExec`] seam, whose state is a
+//! handful of registers (so it can be snapshotted and restored) and
+//! whose retry protocol is an independent implementation to check the
+//! native one against:
 //!
 //! - [`ir`] — a compact register-machine bytecode ([`ir::Kernel`])
 //!   guest kernels compile into, with static validation and a
 //!   label-resolving [`ir::KernelBuilder`];
 //! - [`interp`] — the shared fetch/execute core, plus
 //!   [`interp::run_on_ctx`] running a kernel over a plain
-//!   [`lockiller::GuestCtx`] (the thread backend for kernel programs);
+//!   [`lockiller::GuestCtx`] (the native backend for kernel programs);
 //! - [`vm`] — [`vm::GuestVm`], the resumable state machine
 //!   implementing the whole elided-lock retry protocol
 //!   (`GuestCtx::critical`, Listings 1–2 of the paper) as explicit
@@ -19,7 +20,7 @@
 //!   `restore` for backtracking explorers;
 //! - [`spec`] — the `ProgSpec` corpus DSL (shared with `tmverify` /
 //!   `tmstatic`), whose [`spec::SpecProgram`] runs hand-written on the
-//!   thread backend and compiled on the VM backend.
+//!   native backend and compiled on the VM backend.
 //!
 //! The design contract is **bit-identity**: for the same program,
 //! seed, schedule, and system, both backends produce byte-equal run

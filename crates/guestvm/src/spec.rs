@@ -380,34 +380,37 @@ impl Program for SpecProgram {
         self.bases = (0..self.spec.lines).map(|_| s.alloc(8)).collect();
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
+    async fn run(&self, ctx: &mut GuestCtx) {
         let segs = &self.spec.threads[ctx.tid];
         let tid = ctx.tid as u64;
         let mut op_no: u64 = 0;
         for seg in segs {
             if seg.critical {
-                ctx.critical(|tx| {
+                ctx.critical(async |tx| {
                     for (k, op) in (op_no..).zip(seg.ops.iter()) {
                         match *op {
                             Op::Load(l) => {
-                                tx.load(self.bases[l as usize])?;
+                                tx.load(self.bases[l as usize]).await?;
                             }
                             Op::Store(l) => {
-                                tx.store(self.bases[l as usize], (tid << 32) | k)?;
+                                tx.store(self.bases[l as usize], (tid << 32) | k).await?;
                             }
-                            Op::Compute(n) => tx.compute(n)?,
+                            Op::Compute(n) => tx.compute(n).await?,
                         }
                     }
                     Ok(())
-                });
+                })
+                .await;
             } else {
                 for op in &seg.ops {
                     match *op {
                         Op::Load(l) => {
-                            ctx.load(self.bases[l as usize]);
+                            ctx.load(self.bases[l as usize]).await;
                         }
-                        Op::Store(l) => ctx.store(self.bases[l as usize], (tid << 32) | op_no),
-                        Op::Compute(n) => ctx.compute(n),
+                        Op::Store(l) => {
+                            ctx.store(self.bases[l as usize], (tid << 32) | op_no).await;
+                        }
+                        Op::Compute(n) => ctx.compute(n).await,
                     }
                     op_no += 1;
                 }

@@ -5,7 +5,7 @@
 //! Every [`GuestVm::resume`] call applies the engine's response to the
 //! in-flight operation, advances the interpreter to the next
 //! op-producing instruction, and returns that op — a plain function
-//! call where the thread backend paid two OS context switches.
+//! call, with no future to poll.
 //!
 //! # Bit-identity
 //!

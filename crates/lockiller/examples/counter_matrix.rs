@@ -1,8 +1,8 @@
 //! Diagnostic matrix: run a contended shared-counter program on every
 //! Table-II system and several thread counts, printing commit/abort/
 //! reject statistics. Doubles as a liveness smoke test (set
-//! `LOCKILLER_WALL_TIMEOUT=20` and/or `LOCKILLER_MAX_CYCLES=...` to turn
-//! hangs into diagnosable panics with a full engine state dump).
+//! `LOCKILLER_MAX_CYCLES=...` to turn hangs into diagnosable panics
+//! with a full engine state dump).
 
 use lockiller::flatmem::{FlatMem, SetupCtx};
 use lockiller::guest::GuestCtx;
@@ -25,16 +25,17 @@ impl Program for C {
     fn setup(&mut self, s: &mut SetupCtx, _t: usize) {
         self.addr = s.alloc(8);
     }
-    fn run(&self, ctx: &mut GuestCtx) {
+    async fn run(&self, ctx: &mut GuestCtx) {
         let addr = self.addr;
         for _ in 0..self.n {
-            ctx.critical(|tx| {
-                let v = tx.load(addr)?;
-                tx.compute(20)?;
-                tx.store(addr, v + 1)?;
+            ctx.critical(async |tx| {
+                let v = tx.load(addr).await?;
+                tx.compute(20).await?;
+                tx.store(addr, v + 1).await?;
                 Ok(())
-            });
-            ctx.compute(30);
+            })
+            .await;
+            ctx.compute(30).await;
         }
     }
     fn validate(&self, m: &FlatMem) -> Result<(), String> {

@@ -1,11 +1,11 @@
 //! The discrete-event engine: owns the event queue, the memory subsystem,
-//! the value layer, and one controller per simulated core; drives guest
-//! threads in rendezvous lockstep.
+//! the value layer, and one controller per simulated core; drives each
+//! core's guest in rendezvous lockstep.
 //!
 //! ## Event kinds
 //!
-//! - `Recv(core)` — rendezvous point: blocking-receive the core's next
-//!   operation (the guest computes in zero simulated time);
+//! - `Recv(core)` — rendezvous point: resume the core's guest for its
+//!   next operation (the guest computes in zero simulated time);
 //! - `Respond(core, resp)` — deliver a response scheduled earlier (e.g.,
 //!   the end of a `Compute`, a commit penalty, an abort penalty);
 //! - `Net(msg)` — a NoC message arrives at the memory subsystem;
@@ -90,11 +90,11 @@ enum Ev {
 /// Per-core controller state.
 struct Ctl<'g> {
     /// The resumable guest driven at this core's `Recv` rendezvous
-    /// points; `None` after [`Engine::release_guests`].
+    /// points; `None` until [`Engine::register`].
     exec: Option<Box<dyn GuestExec + 'g>>,
     /// Response delivered by [`Engine::respond`] but not yet handed to
     /// the guest — consumed by the next `resume` at the rendezvous
-    /// point, exactly where the old channel send/recv pair met.
+    /// point.
     pending_resp: Option<GuestResp>,
     tracker: PhaseTracker,
     phase: Phase,
@@ -180,8 +180,8 @@ impl Ctl<'_> {
 /// The engine. Construct, [`Engine::register`] each guest executor,
 /// then [`Engine::run_with`] to completion and [`Engine::into_stats`].
 ///
-/// The lifetime `'g` bounds the registered [`GuestExec`]s (a VM guest
-/// borrows its program's kernel; the thread backend is `'static`).
+/// The lifetime `'g` bounds the registered [`GuestExec`]s (each guest
+/// borrows its program: a native body's future or a VM's kernel).
 pub struct Engine<'g> {
     cfg: SystemConfig,
     ms: MemSystem,
@@ -403,8 +403,7 @@ impl<'g> Engine<'g> {
         self.prof_exit();
         // Stash the response for the matching `Recv` rendezvous: the
         // guest only resumes when that event (or a pick-point staging of
-        // it) fires, so delivery timing is identical to the old channel
-        // send here + blocking receive there.
+        // it) fires.
         self.ctl[core].pending_resp = Some(resp);
         self.q.schedule_at(now, Ev::Recv(core));
     }
@@ -438,10 +437,8 @@ impl<'g> Engine<'g> {
     /// tie-break (the simulation's only nondeterminism; see
     /// [`crate::sched`]).
     ///
-    /// On a non-[`RunEnd::Done`] outcome guest threads are still blocked
-    /// on their channels; the caller must call
-    /// [`Engine::release_guests`] (after marking the run abandoned) so
-    /// they unblock instead of hanging, and absorb their panics.
+    /// On a non-[`RunEnd::Done`] outcome unfinished guests stay
+    /// suspended; dropping the engine drops them.
     pub fn run_with(&mut self, mut sched: Option<&mut dyn Scheduler>) -> RunEnd {
         let env_max: Cycle = std::env::var("LOCKILLER_MAX_CYCLES")
             .ok()
@@ -575,18 +572,6 @@ impl<'g> Engine<'g> {
         let op = ctl.exec.as_mut().expect("core not registered").resume(resp);
         self.prof_exit();
         op
-    }
-
-    /// Drop every guest executor. Thread-backend guests blocked in
-    /// `recv` (or a later `send`) get a channel error and panic out of
-    /// their run closure; the runner marks the run abandoned *first* and
-    /// then absorbs those panics. Call on every non-[`RunEnd::Done`]
-    /// outcome before joining any guest threads.
-    pub fn release_guests(&mut self) {
-        for c in &mut self.ctl {
-            c.exec = None;
-            c.pending_resp = None;
-        }
     }
 
     // ---------------- scheduler seam ----------------

@@ -2,42 +2,48 @@
 //!
 //! A [`GuestExec`] is a *resumable* guest: the engine hands it the
 //! response to its previous operation and gets the next operation back,
-//! synchronously, on the engine's own thread. The poll-style contract
-//! replaces the original mpsc rendezvous (one OS context switch per
-//! simulated guest step) while keeping the simulation bit-identical —
-//! the engine calls [`GuestExec::resume`] at exactly the points where it
-//! used to block on a channel, so event order, state fingerprints, and
-//! every `RunStats` digest are unchanged.
+//! synchronously, on the engine's own thread. The engine calls
+//! [`GuestExec::resume`] at exactly the rendezvous points of the guest
+//! protocol, so event order, state fingerprints and every `RunStats`
+//! digest depend only on the op stream, never on the backend.
 //!
 //! Two backends implement the trait:
 //!
-//! - [`ThreadGuest`] — the compatibility backend: the guest `Program`
-//!   still runs as a Rust closure on an OS thread, and `resume` performs
-//!   the old send/recv rendezvous against it. Any `Program` works here.
-//! - `guestvm::GuestVm` (separate crate) — the in-process VM: guest
-//!   kernels compile to a compact op-stream bytecode and `resume` is a
-//!   plain function call into a state machine. Programs opt in by
-//!   returning a VM from [`crate::Program::guest_exec`].
+//! - `NativeGuest` — the program's native Rust body
+//!   ([`crate::Program::run`], an async fn), polled in-process. It is a
+//!   coroutine, not a runtime: one boxed future, a one-slot op/response
+//!   cell, and a poll with [`Waker::noop`] per `resume`. No task queue,
+//!   no wakers, no threads. Any `Program` works here.
+//! - `guestvm::GuestVm` (separate crate) — a bytecode VM whose retry
+//!   protocol is an explicit state machine, with cheap snapshot/restore.
+//!   Programs opt in by returning a VM from
+//!   [`crate::Program::guest_exec`].
 //!
-//! [`Backend`] selects between them on [`crate::Runner`].
+//! [`Backend`] selects between them on [`crate::Runner`]. Because the
+//! two implement the retry protocol independently (async Rust in
+//! [`crate::guest`], a state machine in `guestvm`), agreement between
+//! them on the same kernel is a differential oracle.
 
-use crate::guest::{GuestOp, GuestResp};
+use crate::guest::{GuestCtx, GuestOp, GuestResp, OpSlot};
+use crate::program::Program;
 use sim_core::rng::SimRng;
 use sim_core::types::Addr;
-use std::sync::mpsc::{Receiver, Sender};
+use std::future::Future;
+use std::pin::Pin;
+use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 
 /// Which guest execution core a [`crate::Runner`] drives.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Backend {
-    /// OS-thread rendezvous (the compatibility backend): every
-    /// [`crate::Program`] works, at the cost of a real context switch
-    /// per simulated guest step.
+    /// The program's native Rust body, polled in-process
+    /// (`NativeGuest`): every [`crate::Program`] works. (The name
+    /// predates the in-process poll; reports and baselines key on it.)
     #[default]
     Threads,
-    /// In-process resumable VM: requires the program to provide a
-    /// [`GuestExec`] via [`crate::Program::guest_exec`]. Bit-identical
-    /// to [`Backend::Threads`] on the same kernel, orders of magnitude
-    /// faster on the host.
+    /// Bytecode VM: requires the program to provide a [`GuestExec`] via
+    /// [`crate::Program::guest_exec`]. Bit-identical to
+    /// [`Backend::Threads`] on the same kernel.
     Vm,
 }
 
@@ -69,8 +75,8 @@ pub struct GuestEnv {
     pub tid: usize,
     /// Total simulated threads in the run.
     pub threads: usize,
-    /// Per-thread deterministic RNG (forked from the run seed exactly
-    /// like the thread backend's `GuestCtx.rng`).
+    /// Per-thread deterministic RNG (forked from the run seed; the
+    /// native backend hands it to `GuestCtx.rng`).
     pub rng: SimRng,
     /// Guest-side runtime policy (retry budget, fallback kind, CGL).
     pub policy: crate::guest::GuestPolicy,
@@ -99,15 +105,14 @@ pub struct GuestSnapshot(pub Box<dyn std::any::Any + Send>);
 /// own state.
 ///
 /// Dropping a `GuestExec` releases it: an abandoned run (deadlock /
-/// cycle budget) simply drops the boxes, which for [`ThreadGuest`]
-/// closes the rendezvous channels and unblocks the OS thread.
+/// cycle budget) simply drops the boxes, suspended futures included.
 pub trait GuestExec {
     /// Deliver `resp` and return the guest's next operation.
     fn resume(&mut self, resp: GuestResp) -> GuestOp;
 
     /// Capture the guest's complete execution state, if the backend
-    /// supports cheap checkpointing (the VM does; the thread backend
-    /// cannot — an OS thread's stack is not capturable in safe Rust).
+    /// supports cheap checkpointing (the VM does; a native guest cannot —
+    /// a suspended future is not clonable).
     fn snapshot(&self) -> Option<GuestSnapshot> {
         None
     }
@@ -121,52 +126,39 @@ pub trait GuestExec {
     }
 }
 
-/// Compatibility backend: the engine-side half of the OS-thread
-/// rendezvous. The guest `Program` runs on its own thread against a
-/// `GuestCtx`; this adapter turns the engine's poll into the historical
-/// send-response / receive-op pair.
-pub struct ThreadGuest {
-    to_guest: Sender<GuestResp>,
-    from_guest: Receiver<GuestOp>,
-    core: usize,
-    started: bool,
+/// The native backend: a [`Program::run`] future driven as a
+/// coroutine. Each [`GuestExec::resume`] stores the response in the
+/// guest's slot, polls the future once, and returns the op the future
+/// suspended on; a finished future is [`GuestOp::Exit`].
+pub(crate) struct NativeGuest<'g> {
+    slot: Rc<OpSlot>,
+    body: Pin<Box<dyn Future<Output = ()> + 'g>>,
 }
 
-impl ThreadGuest {
-    /// Wrap the engine-side channel endpoints for `core`.
-    pub fn new(core: usize, to_guest: Sender<GuestResp>, from_guest: Receiver<GuestOp>) -> Self {
-        ThreadGuest {
-            to_guest,
-            from_guest,
-            core,
-            started: false,
-        }
-    }
-
-    fn recv(&self) -> GuestOp {
-        if let Ok(secs) = std::env::var("LOCKILLER_WALL_TIMEOUT") {
-            let dur = std::time::Duration::from_secs(secs.parse().unwrap_or(30));
-            match self.from_guest.recv_timeout(dur) {
-                Ok(op) => op,
-                Err(e) => panic!("guest {} unresponsive ({e:?}) — lost response?", self.core),
-            }
-        } else {
-            self.from_guest
-                .recv()
-                .expect("guest thread terminated without Exit")
-        }
+impl<'g> NativeGuest<'g> {
+    /// Run `prog`'s body for the simulated thread described by `env`.
+    pub(crate) fn new<P: Program>(prog: &'g P, env: GuestEnv) -> NativeGuest<'g> {
+        let mut ctx = GuestCtx::new(env);
+        let slot = Rc::clone(&ctx.tx.slot);
+        let body = Box::pin(async move { prog.run(&mut ctx).await });
+        NativeGuest { slot, body }
     }
 }
 
-impl GuestExec for ThreadGuest {
+impl GuestExec for NativeGuest<'_> {
     fn resume(&mut self, resp: GuestResp) -> GuestOp {
-        if self.started {
-            self.to_guest.send(resp).expect("guest thread died");
-        } else {
-            // First poll: the guest thread is already running toward its
-            // first op; the synthetic kick is swallowed here.
-            self.started = true;
+        self.slot.resp.set(Some(resp));
+        match self
+            .body
+            .as_mut()
+            .poll(&mut Context::from_waker(Waker::noop()))
+        {
+            Poll::Ready(()) => GuestOp::Exit,
+            Poll::Pending => self
+                .slot
+                .op
+                .take()
+                .expect("guest future suspended without issuing an op"),
         }
-        self.recv()
     }
 }

@@ -1,13 +1,17 @@
 //! Guest-program API and the transactional runtime (Listings 1 and 2 of
 //! the paper).
 //!
-//! Under the thread backend ([`crate::exec::Backend::Threads`]) a guest
-//! program runs on its own OS thread and talks to the engine in strict
-//! rendezvous: every operation blocks until the engine delivers the
-//! response at the correct simulated cycle. (The VM backend replays the
-//! exact same protocol as an in-process state machine — `guestvm`
-//! mirrors [`GuestCtx::critical`] op for op.) [`GuestCtx::critical`]
-//! implements `lock_acquire_elided`/`lock_release_elided`:
+//! A guest program is ordinary async Rust. Every operation on a
+//! [`GuestCtx`] or [`TxCtx`] is an `async fn` that suspends exactly
+//! once: it leaves its [`GuestOp`] in the guest's one-slot cell, yields,
+//! and on the next poll takes the engine's [`GuestResp`] from the same
+//! cell. The runner's `NativeGuest` executor polls the program's future
+//! once per engine rendezvous, on the engine's own thread, so the body
+//! runs as a coroutine in zero simulated time. (The VM backend replays the
+//! exact same protocol as a bytecode state machine — `guestvm` mirrors
+//! [`GuestCtx::critical`] op for op.) [`GuestCtx::critical`] implements
+//! `lock_acquire_elided`/`lock_release_elided` as a straight-line retry
+//! loop:
 //!
 //! - **CGL**: plain spin-lock critical section, no speculation;
 //! - **Baseline**: `xbegin`, subscribe to the fallback lock (a
@@ -21,14 +25,19 @@
 //!   transparently; `lock_release_elided` dispatches on `_ttest`
 //!   (Listing 2) and skips the lock release for STL finishes.
 //!
-//! Transaction bodies receive a [`TxCtx`] whose memory operations return
-//! `Result<_, Abort>`: an abort unwinds the body via `?` and the retry
-//! loop re-executes it, exactly like hardware rolling back to the xbegin.
+//! Transaction bodies are async closures receiving a [`TxCtx`] whose
+//! memory operations return `Result<_, Abort>`: an abort unwinds the
+//! body via `?` and the retry loop re-executes it, exactly like hardware
+//! rolling back to the xbegin.
 
+use crate::exec::GuestEnv;
 use sim_core::rng::SimRng;
 use sim_core::stats::AbortCause;
 use sim_core::types::Addr;
-use std::sync::mpsc::{Receiver, Sender};
+use std::cell::Cell;
+use std::future::poll_fn;
+use std::rc::Rc;
+use std::task::Poll;
 
 /// `_ttest` return values (Listing 2 dispatch), namespaced so new modes
 /// can be added without colliding with downstream constants.
@@ -109,47 +118,47 @@ pub struct GuestPolicy {
     pub fallback_on_capacity: bool,
 }
 
-/// The guest side of the rendezvous channel plus the runtime state.
+/// The one-slot cell a suspended guest and its [`crate::exec::NativeGuest`]
+/// exchange the pending op and its response through.
+#[derive(Debug, Default)]
+pub(crate) struct OpSlot {
+    pub(crate) op: Cell<Option<GuestOp>>,
+    pub(crate) resp: Cell<Option<GuestResp>>,
+}
+
+/// A guest thread's handle on the engine plus the runtime state.
 pub struct GuestCtx {
     pub tid: usize,
     pub threads: usize,
     pub rng: SimRng,
     policy: GuestPolicy,
     lock_addr: Addr,
-    tx: Sender<GuestOp>,
-    rx: Receiver<GuestResp>,
-    in_critical: bool,
+    /// The view handed to critical-section bodies; its slot carries
+    /// every op of this guest.
+    pub(crate) tx: TxCtx,
 }
 
 impl GuestCtx {
-    pub fn new(
-        tid: usize,
-        threads: usize,
-        rng: SimRng,
-        policy: GuestPolicy,
-        lock_addr: Addr,
-        tx: Sender<GuestOp>,
-        rx: Receiver<GuestResp>,
-    ) -> GuestCtx {
+    pub(crate) fn new(env: GuestEnv) -> GuestCtx {
         GuestCtx {
-            tid,
-            threads,
-            rng,
-            policy,
-            lock_addr,
-            tx,
-            rx,
-            in_critical: false,
+            tid: env.tid,
+            threads: env.threads,
+            rng: env.rng,
+            policy: env.policy,
+            lock_addr: env.lock_addr,
+            tx: TxCtx {
+                tid: env.tid,
+                slot: Rc::default(),
+            },
         }
     }
 
-    fn op(&self, o: GuestOp) -> GuestResp {
-        self.tx.send(o).expect("engine hung up");
-        self.rx.recv().expect("engine hung up")
+    async fn op(&self, o: GuestOp) -> GuestResp {
+        self.tx.op(o).await
     }
 
-    fn op_infallible(&self, o: GuestOp) -> GuestResp {
-        match self.op(o) {
+    async fn op_infallible(&self, o: GuestOp) -> GuestResp {
+        match self.op(o).await {
             GuestResp::Aborted(c) => panic!("unexpected abort ({c:?}) outside a transaction"),
             r => r,
         }
@@ -157,68 +166,53 @@ impl GuestCtx {
 
     // ---------------- non-transactional primitives ----------------
 
-    pub fn load(&self, a: Addr) -> u64 {
-        match self.op_infallible(GuestOp::Load(a)) {
-            GuestResp::Value(v) => v,
-            r => panic!("bad response to load: {r:?}"),
-        }
+    pub async fn load(&self, a: Addr) -> u64 {
+        value(self.op_infallible(GuestOp::Load(a)).await)
     }
 
-    pub fn store(&self, a: Addr, v: u64) {
-        self.op_infallible(GuestOp::Store(a, v));
+    pub async fn store(&self, a: Addr, v: u64) {
+        self.op_infallible(GuestOp::Store(a, v)).await;
     }
 
-    pub fn cas(&self, a: Addr, expected: u64, new: u64) -> u64 {
-        match self.op_infallible(GuestOp::Cas(a, expected, new)) {
-            GuestResp::Value(v) => v,
-            r => panic!("bad response to cas: {r:?}"),
-        }
+    pub async fn cas(&self, a: Addr, expected: u64, new: u64) -> u64 {
+        value(self.op_infallible(GuestOp::Cas(a, expected, new)).await)
     }
 
-    pub fn compute(&self, n: u64) {
-        self.op_infallible(GuestOp::Compute(n));
+    pub async fn compute(&self, n: u64) {
+        self.op_infallible(GuestOp::Compute(n)).await;
     }
 
-    pub fn page_touch(&self, page: u64) -> Result<(), Abort> {
-        match self.op(GuestOp::PageTouch(page)) {
-            GuestResp::Aborted(c) => Err(Abort { cause: c }),
-            _ => Ok(()),
-        }
+    pub async fn page_touch(&self, page: u64) -> Result<(), Abort> {
+        self.tx.try_op(GuestOp::PageTouch(page)).await.map(drop)
     }
 
-    pub fn barrier(&self) {
-        self.op_infallible(GuestOp::Barrier);
-    }
-
-    /// Must be the last call of `thread_main` (the runner also sends it on
-    /// return as a safety net — it is idempotent engine-side).
-    pub fn exit(&self) {
-        let _ = self.tx.send(GuestOp::Exit);
+    pub async fn barrier(&self) {
+        self.op_infallible(GuestOp::Barrier).await;
     }
 
     // ---------------- spin lock (test-and-test-and-set) ----------------
 
-    fn spin_acquire(&self) {
-        self.op_infallible(GuestOp::SpinBegin);
+    async fn spin_acquire(&self) {
+        self.op_infallible(GuestOp::SpinBegin).await;
         loop {
-            if self.load(self.lock_addr) == 0 && self.cas(self.lock_addr, 0, 1) == 0 {
+            if self.load(self.lock_addr).await == 0 && self.cas(self.lock_addr, 0, 1).await == 0 {
                 break;
             }
-            self.compute(16);
+            self.compute(16).await;
         }
-        self.op_infallible(GuestOp::SpinEnd);
+        self.op_infallible(GuestOp::SpinEnd).await;
     }
 
-    fn spin_until_free(&self) {
-        self.op_infallible(GuestOp::SpinBegin);
-        while self.load(self.lock_addr) != 0 {
-            self.compute(16);
+    async fn spin_until_free(&self) {
+        self.op_infallible(GuestOp::SpinBegin).await;
+        while self.load(self.lock_addr).await != 0 {
+            self.compute(16).await;
         }
-        self.op_infallible(GuestOp::SpinEnd);
+        self.op_infallible(GuestOp::SpinEnd).await;
     }
 
-    fn release_lock(&self) {
-        self.store(self.lock_addr, 0);
+    async fn release_lock(&self) {
+        self.store(self.lock_addr, 0).await;
     }
 
     // ---------------- the elided-lock critical section ----------------
@@ -226,37 +220,28 @@ impl GuestCtx {
     /// Execute `f` as a critical section under the active system's
     /// concurrency control. Shared state touched by `f` must live in
     /// simulated memory (so aborts roll it back); host-side locals must be
-    /// re-initialized inside the closure.
-    pub fn critical<T>(&mut self, mut f: impl FnMut(&mut TxCtx) -> Result<T, Abort>) -> T {
-        assert!(
-            !self.in_critical,
-            "nested critical sections are not supported"
-        );
-        self.in_critical = true;
-        let v = self.critical_inner(&mut f);
-        self.in_critical = false;
-        v
-    }
-
-    fn critical_inner<T>(&mut self, f: &mut impl FnMut(&mut TxCtx) -> Result<T, Abort>) -> T {
+    /// re-initialized inside the closure. Sections cannot nest: `f` sees
+    /// only a [`TxCtx`], never this `GuestCtx`.
+    pub async fn critical<T>(
+        &mut self,
+        mut f: impl AsyncFnMut(&mut TxCtx) -> Result<T, Abort>,
+    ) -> T {
         if self.policy.coarse_grained_lock {
-            self.spin_acquire();
-            self.op_infallible(GuestOp::FallbackBegin);
-            let v = run_infallible(self, f);
-            self.op_infallible(GuestOp::FallbackEnd);
-            self.release_lock();
-            return v;
+            self.spin_acquire().await;
+            return self
+                .locked(GuestOp::FallbackBegin, &mut f, GuestOp::FallbackEnd)
+                .await;
         }
 
         // lock_acquire_elided (Listing 1).
         let mut retries = self.policy.max_retries;
         while retries > 0 {
-            match self.try_htm(f) {
+            match self.try_htm(&mut f).await {
                 Ok(v) => return v,
                 Err(HtmFail::LockTaken) => {
                     // Subscribed lock observed held: wait until free, then
                     // burn one retry (Listing 1 decrements per iteration).
-                    self.spin_until_free();
+                    self.spin_until_free().await;
                     retries -= 1;
                 }
                 Err(HtmFail::Abort(cause)) => {
@@ -271,40 +256,50 @@ impl GuestCtx {
         }
 
         // Fallback path: lock_acquire + (hlbegin | plain critical section).
-        self.spin_acquire();
+        self.spin_acquire().await;
         if self.policy.htmlock {
-            self.op_infallible(GuestOp::HlBegin);
-            let v = run_infallible(self, f);
-            self.op_infallible(GuestOp::HlEnd);
-            self.release_lock();
-            v
+            self.locked(GuestOp::HlBegin, &mut f, GuestOp::HlEnd).await
         } else {
-            self.op_infallible(GuestOp::FallbackBegin);
-            let v = run_infallible(self, f);
-            self.op_infallible(GuestOp::FallbackEnd);
-            self.release_lock();
-            v
+            self.locked(GuestOp::FallbackBegin, &mut f, GuestOp::FallbackEnd)
+                .await
         }
+    }
+
+    /// Run the body on a non-speculative path (the caller holds the
+    /// lock), bracketed by `begin`/`end`, then release the lock. Aborts
+    /// cannot occur here.
+    async fn locked<T>(
+        &mut self,
+        begin: GuestOp,
+        f: &mut impl AsyncFnMut(&mut TxCtx) -> Result<T, Abort>,
+        end: GuestOp,
+    ) -> T {
+        self.op_infallible(begin).await;
+        let v = match f(&mut self.tx).await {
+            Ok(v) => v,
+            Err(a) => panic!("abort on the non-speculative path: {a:?}"),
+        };
+        self.op_infallible(end).await;
+        self.release_lock().await;
+        v
     }
 
     /// One speculative attempt: xbegin, optional lock subscription, body,
     /// then `lock_release_elided` (Listing 2) with its ttest dispatch.
-    fn try_htm<T>(
+    async fn try_htm<T>(
         &mut self,
-        f: &mut impl FnMut(&mut TxCtx) -> Result<T, Abort>,
+        f: &mut impl AsyncFnMut(&mut TxCtx) -> Result<T, Abort>,
     ) -> Result<T, HtmFail> {
-        if let GuestResp::Aborted(c) = self.op(GuestOp::TxBegin) {
+        if let GuestResp::Aborted(c) = self.op(GuestOp::TxBegin).await {
             return Err(HtmFail::Abort(c));
         }
 
-        let body = (|| -> Result<T, Abort> {
+        let body = async {
             if !self.policy.htmlock {
                 // Baseline subscription: the fallback lock joins the read
                 // set; abort explicitly if it is already held.
-                let lock_addr = self.lock_addr;
-                let mut tx = TxCtx { g: self };
-                if tx.load(lock_addr)? != 0 {
-                    match tx.g.op(GuestOp::TxAbortUser) {
+                if self.tx.load(self.lock_addr).await? != 0 {
+                    match self.op(GuestOp::TxAbortUser).await {
                         GuestResp::Aborted(_) => {
                             return Err(Abort {
                                 cause: AbortCause::Mutex,
@@ -314,9 +309,9 @@ impl GuestCtx {
                     }
                 }
             }
-            let mut tx = TxCtx { g: self };
-            f(&mut tx)
-        })();
+            f(&mut self.tx).await
+        }
+        .await;
 
         match body {
             Err(a) => {
@@ -328,14 +323,14 @@ impl GuestCtx {
             }
             Ok(v) => {
                 // lock_release_elided (Listing 2): dispatch on _ttest.
-                match self.op(GuestOp::TTest) {
+                match self.op(GuestOp::TTest).await {
                     GuestResp::Aborted(c) => Err(HtmFail::Abort(c)),
                     GuestResp::Value(TTest::STL) => {
                         // Switched transaction: hlend, no lock to release.
-                        self.op_infallible(GuestOp::HlEnd);
+                        self.op_infallible(GuestOp::HlEnd).await;
                         Ok(v)
                     }
-                    GuestResp::Value(_) => match self.op(GuestOp::TxCommit) {
+                    GuestResp::Value(_) => match self.op(GuestOp::TxCommit).await {
                         GuestResp::Aborted(c) => Err(HtmFail::Abort(c)),
                         _ => Ok(v),
                     },
@@ -352,51 +347,63 @@ enum HtmFail {
     Abort(AbortCause),
 }
 
-/// Run the body on the non-speculative path, where aborts cannot occur.
-fn run_infallible<T>(g: &mut GuestCtx, f: &mut impl FnMut(&mut TxCtx) -> Result<T, Abort>) -> T {
-    let mut tx = TxCtx { g };
-    match f(&mut tx) {
-        Ok(v) => v,
-        Err(a) => panic!("abort on the non-speculative path: {a:?}"),
-    }
-}
-
 /// Memory operations inside a critical section. On the speculative path
 /// these can fail with [`Abort`]; on lock/CGL paths they never do, so the
 /// same body code serves every system.
-pub struct TxCtx<'a> {
-    pub g: &'a mut GuestCtx,
+pub struct TxCtx {
+    tid: usize,
+    pub(crate) slot: Rc<OpSlot>,
 }
 
-impl TxCtx<'_> {
-    pub fn load(&mut self, a: Addr) -> Result<u64, Abort> {
-        match self.g.op(GuestOp::Load(a)) {
-            GuestResp::Value(v) => Ok(v),
-            GuestResp::Aborted(c) => Err(Abort { cause: c }),
-            r => panic!("bad response to tx load: {r:?}"),
+impl TxCtx {
+    /// Issue `o` and suspend until the engine answers it. (The first
+    /// poll always suspends, discarding the executor's start-up kick.)
+    async fn op(&self, o: GuestOp) -> GuestResp {
+        self.slot.op.set(Some(o));
+        let mut suspended = false;
+        poll_fn(|_| match self.slot.resp.take() {
+            Some(r) if suspended => Poll::Ready(r),
+            _ => {
+                suspended = true;
+                Poll::Pending
+            }
+        })
+        .await
+    }
+
+    async fn try_op(&self, o: GuestOp) -> Result<GuestResp, Abort> {
+        match self.op(o).await {
+            GuestResp::Aborted(cause) => Err(Abort { cause }),
+            r => Ok(r),
         }
     }
 
-    pub fn store(&mut self, a: Addr, v: u64) -> Result<(), Abort> {
-        match self.g.op(GuestOp::Store(a, v)) {
-            GuestResp::Aborted(c) => Err(Abort { cause: c }),
-            _ => Ok(()),
-        }
+    pub async fn load(&mut self, a: Addr) -> Result<u64, Abort> {
+        self.try_op(GuestOp::Load(a)).await.map(value)
     }
 
-    pub fn compute(&mut self, n: u64) -> Result<(), Abort> {
-        match self.g.op(GuestOp::Compute(n)) {
-            GuestResp::Aborted(c) => Err(Abort { cause: c }),
-            _ => Ok(()),
-        }
+    pub async fn store(&mut self, a: Addr, v: u64) -> Result<(), Abort> {
+        self.try_op(GuestOp::Store(a, v)).await.map(drop)
     }
 
-    pub fn page_touch(&mut self, page: u64) -> Result<(), Abort> {
-        self.g.page_touch(page)
+    pub async fn compute(&mut self, n: u64) -> Result<(), Abort> {
+        self.try_op(GuestOp::Compute(n)).await.map(drop)
+    }
+
+    pub async fn page_touch(&mut self, page: u64) -> Result<(), Abort> {
+        self.try_op(GuestOp::PageTouch(page)).await.map(drop)
     }
 
     /// Thread id of the owning guest (handy for per-thread structures).
     pub fn tid(&self) -> usize {
-        self.g.tid
+        self.tid
+    }
+}
+
+/// The value carried by a load or CAS response.
+fn value(r: GuestResp) -> u64 {
+    match r {
+        GuestResp::Value(v) => v,
+        r => panic!("bad response to a load/cas: {r:?}"),
     }
 }

@@ -18,12 +18,12 @@
 //! chosen system and returns a [`runner::RunOutput`] (statistics, final
 //! memory image, optional event trace).
 //!
-//! Guest programs execute behind the [`exec::GuestExec`] seam: either on
-//! OS threads in strict rendezvous lockstep with the single-threaded
-//! discrete-event engine ([`exec::Backend::Threads`]), or as in-process
-//! resumable state machines (`guestvm`, [`exec::Backend::Vm`]). Both
-//! backends are bit-identical by construction — every simulation is
-//! bit-deterministic either way.
+//! Guest programs execute behind the [`exec::GuestExec`] seam, in-process
+//! and in lockstep with the single-threaded discrete-event engine:
+//! either as the program's native async body polled as a coroutine
+//! ([`exec::Backend::Threads`]), or as a bytecode state machine
+//! (`guestvm`, [`exec::Backend::Vm`]). Both backends issue the same op
+//! stream, so every simulation is bit-deterministic either way.
 
 pub mod engine;
 mod event;
@@ -36,7 +36,7 @@ pub mod sched;
 pub mod system;
 pub mod trace;
 
-pub use exec::{Backend, GuestEnv, GuestExec, GuestSnapshot, ThreadGuest};
+pub use exec::{Backend, GuestEnv, GuestExec, GuestSnapshot};
 pub use flatmem::{FlatMem, SetupCtx};
 pub use guest::{Abort, GuestCtx, GuestOp, GuestResp, TTest, TxCtx};
 pub use program::Program;

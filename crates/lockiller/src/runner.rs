@@ -4,21 +4,22 @@
 //! [`Runner::run`] is the single entry point: it always returns the
 //! statistics, the final memory image, and — when tracing was requested
 //! via [`Runner::tracing`] or checked mode — the structured event trace.
-//! [`Runner::backend`] selects the guest execution core: the OS-thread
-//! rendezvous (default, works for every [`Program`]) or the in-process
-//! resumable VM ([`crate::Backend::Vm`], for programs that provide a
-//! [`crate::GuestExec`] through [`Program::guest_exec`]). All guest
-//! construction funnels through that one `GuestExec`-aware seam — there
-//! is no ad-hoc channel plumbing at call sites.
+//! [`Runner::backend`] selects the guest execution core: the program's
+//! native async body (default, works for every [`Program`]) or the
+//! bytecode VM ([`crate::Backend::Vm`], for programs that provide a
+//! [`crate::GuestExec`] through [`Program::guest_exec`]). Either way
+//! every guest is an in-process [`crate::GuestExec`] driven on the
+//! caller's thread, so a panicking guest surfaces from [`Runner::run`]
+//! with its own message, and an early-ended run just drops its guests.
 //!
 //! `Runner` is plain data (`Send`), so batch executors like
 //! `lockiller_bench::tmlab` can build one per worker thread and fan
 //! simulation points out across host cores.
 
 use crate::engine::Engine;
-use crate::exec::{Backend, GuestEnv, ThreadGuest};
+use crate::exec::{Backend, GuestEnv, GuestExec, NativeGuest};
 use crate::flatmem::{FlatMem, SetupCtx};
-use crate::guest::{GuestCtx, GuestPolicy};
+use crate::guest::GuestPolicy;
 use crate::program::Program;
 use crate::sched::{RunEnd, Scheduler};
 use crate::system::SystemKind;
@@ -28,10 +29,7 @@ use sim_core::obs::ObsHandle;
 use sim_core::prof::ProfReport;
 use sim_core::rng::SimRng;
 use sim_core::stats::RunStats;
-use sim_core::types::{Addr, Cycle};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::channel;
+use sim_core::types::Cycle;
 
 /// Everything one simulation produces.
 ///
@@ -112,7 +110,7 @@ impl Runner {
     }
 
     /// Select the guest execution core (see [`crate::exec`]). The
-    /// default [`Backend::Threads`] runs any [`Program`];
+    /// default [`Backend::Threads`] polls any [`Program`]'s native body;
     /// [`Backend::Vm`] requires the program to provide a VM guest via
     /// [`Program::guest_exec`] and panics otherwise.
     pub fn backend(mut self, b: Backend) -> Runner {
@@ -206,7 +204,7 @@ impl Runner {
     /// the statistics, the memory image, and — iff tracing was enabled —
     /// the event trace.
     pub fn run<P: Program>(&self, prog: &mut P) -> RunOutput {
-        let out = self.run_full(prog);
+        let out = self.run_inner(prog, None);
         match &out.end {
             RunEnd::Done => {}
             RunEnd::Deadlock { stuck } => {
@@ -246,10 +244,6 @@ impl Runner {
             }
         }
         out
-    }
-
-    fn run_full<P: Program>(&self, prog: &mut P) -> RunOutput {
-        self.run_inner(prog, None)
     }
 
     fn run_inner<P: Program>(&self, prog: &mut P, sched: Option<&mut dyn Scheduler>) -> RunOutput {
@@ -297,10 +291,28 @@ impl Runner {
             fallback_on_capacity: cfg.policy.fallback_on_capacity,
         };
 
-        let end = match self.backend {
-            Backend::Threads => self.drive_threads(prog, &mut engine, sched, gpolicy, lock_addr),
-            Backend::Vm => self.drive_vm(prog, &mut engine, sched, gpolicy, lock_addr),
-        };
+        let mut base_rng = SimRng::new(self.seed);
+        for tid in 0..self.threads {
+            let env = GuestEnv {
+                tid,
+                threads: self.threads,
+                rng: base_rng.fork(tid as u64),
+                policy: gpolicy,
+                lock_addr,
+            };
+            let exec: Box<dyn GuestExec + '_> = match self.backend {
+                Backend::Threads => Box::new(NativeGuest::new(&*prog, env)),
+                Backend::Vm => prog.guest_exec(env).unwrap_or_else(|| {
+                    panic!(
+                        "program '{}' provides no VM guest (Program::guest_exec \
+                         returned None); run it with Backend::Threads",
+                        prog.name()
+                    )
+                }),
+            };
+            engine.register(tid, exec);
+        }
+        let end = engine.run_with(sched);
 
         let trace = traced.then(|| std::mem::take(&mut engine.stream.trace));
         let host_prof = engine.take_prof();
@@ -312,96 +324,6 @@ impl Runner {
             end,
             host_prof,
         }
-    }
-
-    /// Thread backend: spawn one OS thread per guest running the
-    /// program body against a [`GuestCtx`], with [`ThreadGuest`]
-    /// adapters registered engine-side. Guests whose run ends early
-    /// (deadlock / cycle budget) panic on their closed rendezvous
-    /// channels; the `abandoned` flag marks those panics as expected so
-    /// the scope doesn't re-raise them.
-    fn drive_threads<'g, P: Program>(
-        &self,
-        prog: &'g P,
-        engine: &mut Engine<'g>,
-        sched: Option<&mut dyn Scheduler>,
-        gpolicy: GuestPolicy,
-        lock_addr: Addr,
-    ) -> RunEnd {
-        let mut base_rng = SimRng::new(self.seed);
-        let mut guests = Vec::with_capacity(self.threads);
-        for tid in 0..self.threads {
-            let (op_tx, op_rx) = channel();
-            let (resp_tx, resp_rx) = channel();
-            engine.register(tid, Box::new(ThreadGuest::new(tid, resp_tx, op_rx)));
-            guests.push(GuestCtx::new(
-                tid,
-                self.threads,
-                base_rng.fork(tid as u64),
-                gpolicy,
-                lock_addr,
-                op_tx,
-                resp_rx,
-            ));
-        }
-        let abandoned = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            for mut g in guests {
-                let p: &P = prog;
-                let ab = &abandoned;
-                s.spawn(move || {
-                    let r = catch_unwind(AssertUnwindSafe(move || {
-                        p.run(&mut g);
-                        g.exit();
-                    }));
-                    if let Err(e) = r {
-                        if !ab.load(Ordering::SeqCst) {
-                            resume_unwind(e);
-                        }
-                    }
-                });
-            }
-            let end = engine.run_with(sched);
-            if !end.is_done() {
-                // Order matters: mark abandonment before closing the
-                // channels, so no guest can observe the hang-up first.
-                abandoned.store(true, Ordering::SeqCst);
-                engine.release_guests();
-            }
-            end
-        })
-    }
-
-    /// VM backend: every guest is an in-process resumable state machine
-    /// obtained from [`Program::guest_exec`] — no OS threads, no
-    /// channels, and nothing to abandon on early termination.
-    fn drive_vm<'g, P: Program>(
-        &self,
-        prog: &'g P,
-        engine: &mut Engine<'g>,
-        sched: Option<&mut dyn Scheduler>,
-        gpolicy: GuestPolicy,
-        lock_addr: Addr,
-    ) -> RunEnd {
-        let mut base_rng = SimRng::new(self.seed);
-        for tid in 0..self.threads {
-            let env = GuestEnv {
-                tid,
-                threads: self.threads,
-                rng: base_rng.fork(tid as u64),
-                policy: gpolicy,
-                lock_addr,
-            };
-            let exec = prog.guest_exec(env).unwrap_or_else(|| {
-                panic!(
-                    "program '{}' provides no VM guest (Program::guest_exec \
-                     returned None); run it with Backend::Threads",
-                    prog.name()
-                )
-            });
-            engine.register(tid, exec);
-        }
-        engine.run_with(sched)
     }
 }
 
@@ -415,6 +337,7 @@ const _: fn() = || {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::guest::GuestCtx;
 
     #[test]
     fn builder_defaults() {
@@ -433,7 +356,7 @@ mod tests {
                 "nop"
             }
             fn setup(&mut self, _s: &mut SetupCtx, _threads: usize) {}
-            fn run(&self, ctx: &mut GuestCtx) {
+            async fn run(&self, ctx: &mut GuestCtx) {
                 let _ = ctx;
             }
         }

@@ -37,16 +37,17 @@ impl Program for Counter {
         self.addr = s.alloc(8);
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
+    async fn run(&self, ctx: &mut GuestCtx) {
         let addr = self.addr;
         for _ in 0..self.per_thread {
-            ctx.critical(|tx| {
-                let v = tx.load(addr)?;
-                tx.compute(25)?;
-                tx.store(addr, v + 1)?;
+            ctx.critical(async |tx| {
+                let v = tx.load(addr).await?;
+                tx.compute(25).await?;
+                tx.store(addr, v + 1).await?;
                 Ok(())
-            });
-            ctx.compute(15);
+            })
+            .await;
+            ctx.compute(15).await;
         }
     }
 
@@ -214,7 +215,7 @@ fn validation_failure_panics() {
             "broken"
         }
         fn setup(&mut self, _s: &mut SetupCtx, _t: usize) {}
-        fn run(&self, _ctx: &mut GuestCtx) {}
+        async fn run(&self, _ctx: &mut GuestCtx) {}
         fn validate(&self, _mem: &FlatMem) -> Result<(), String> {
             Err("intentional".into())
         }
@@ -231,7 +232,7 @@ fn no_validate_skips_oracle() {
             "broken"
         }
         fn setup(&mut self, _s: &mut SetupCtx, _t: usize) {}
-        fn run(&self, _ctx: &mut GuestCtx) {}
+        async fn run(&self, _ctx: &mut GuestCtx) {}
         fn validate(&self, _mem: &FlatMem) -> Result<(), String> {
             Err("intentional".into())
         }
@@ -257,10 +258,10 @@ fn sequential_criticals_reset_guard() {
         fn setup(&mut self, s: &mut SetupCtx, _t: usize) {
             self.addr = s.alloc(8);
         }
-        fn run(&self, ctx: &mut GuestCtx) {
+        async fn run(&self, ctx: &mut GuestCtx) {
             let addr = self.addr;
-            ctx.critical(|tx| tx.store(addr, 1));
-            ctx.critical(|tx| tx.store(addr, 2));
+            ctx.critical(async |tx| tx.store(addr, 1).await).await;
+            ctx.critical(async |tx| tx.store(addr, 2).await).await;
         }
         fn validate(&self, mem: &FlatMem) -> Result<(), String> {
             if mem.read(self.addr) == 2 {

@@ -27,13 +27,14 @@ impl Program for OneTxn {
         self.addr = s.alloc(8);
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
+    async fn run(&self, ctx: &mut GuestCtx) {
         let addr = self.addr;
-        ctx.critical(|tx| {
-            let v = tx.load(addr)?;
-            tx.store(addr, v + 1)?;
+        ctx.critical(async |tx| {
+            let v = tx.load(addr).await?;
+            tx.store(addr, v + 1).await?;
             Ok(())
-        });
+        })
+        .await;
     }
 
     fn validate(&self, mem: &FlatMem) -> Result<(), String> {
@@ -60,14 +61,15 @@ impl Program for Overflow {
         self.base = s.alloc(self.lines * 64);
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
+    async fn run(&self, ctx: &mut GuestCtx) {
         let (base, lines) = (self.base, self.lines);
-        ctx.critical(|tx| {
+        ctx.critical(async |tx| {
             for i in 0..lines {
-                tx.store(Addr(base.0 + i * 64), i)?;
+                tx.store(Addr(base.0 + i * 64), i).await?;
             }
             Ok(())
-        });
+        })
+        .await;
     }
 
     fn validate(&self, mem: &FlatMem) -> Result<(), String> {
@@ -98,16 +100,17 @@ impl Program for Counter {
         self.addr = s.alloc(8);
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
+    async fn run(&self, ctx: &mut GuestCtx) {
         let addr = self.addr;
         for _ in 0..self.per_thread {
-            ctx.critical(|tx| {
-                let v = tx.load(addr)?;
-                tx.compute(20)?;
-                tx.store(addr, v + 1)?;
+            ctx.critical(async |tx| {
+                let v = tx.load(addr).await?;
+                tx.compute(20).await?;
+                tx.store(addr, v + 1).await?;
                 Ok(())
-            });
-            ctx.compute(30);
+            })
+            .await;
+            ctx.compute(30).await;
         }
     }
 

@@ -31,16 +31,16 @@ impl Program for MessagePassing {
         self.result = s.alloc(8);
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
+    async fn run(&self, ctx: &mut GuestCtx) {
         if ctx.tid == 0 {
-            ctx.store(self.data, 42);
-            ctx.store(self.flag, 1);
+            ctx.store(self.data, 42).await;
+            ctx.store(self.flag, 1).await;
         } else {
-            while ctx.load(self.flag) == 0 {
-                ctx.compute(8);
+            while ctx.load(self.flag).await == 0 {
+                ctx.compute(8).await;
             }
-            let d = ctx.load(self.data);
-            ctx.store(self.result, d);
+            let d = ctx.load(self.data).await;
+            ctx.store(self.result, d).await;
         }
     }
 
@@ -91,15 +91,15 @@ impl Program for StoreBuffering {
         self.r1 = s.alloc(8);
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
+    async fn run(&self, ctx: &mut GuestCtx) {
         if ctx.tid == 0 {
-            ctx.store(self.x, 1);
-            let v = ctx.load(self.y);
-            ctx.store(self.r0, v);
+            ctx.store(self.x, 1).await;
+            let v = ctx.load(self.y).await;
+            ctx.store(self.r0, v).await;
         } else {
-            ctx.store(self.y, 1);
-            let v = ctx.load(self.x);
-            ctx.store(self.r1, v);
+            ctx.store(self.y, 1).await;
+            let v = ctx.load(self.x).await;
+            ctx.store(self.r1, v).await;
         }
     }
 
@@ -149,17 +149,17 @@ impl Program for CoRR {
         self.obs = s.alloc(4 * 8);
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
+    async fn run(&self, ctx: &mut GuestCtx) {
         match ctx.tid {
-            0 => ctx.store(self.x, 1),
-            1 => ctx.store(self.x, 2),
+            0 => ctx.store(self.x, 1).await,
+            1 => ctx.store(self.x, 2).await,
             reader => {
-                let a = ctx.load(self.x);
-                ctx.compute(5);
-                let b = ctx.load(self.x);
+                let a = ctx.load(self.x).await;
+                ctx.compute(5).await;
+                let b = ctx.load(self.x).await;
                 let base = (reader - 2) as u64 * 16;
-                ctx.store(self.obs.add(base), a);
-                ctx.store(self.obs.add(base + 8), b);
+                ctx.store(self.obs.add(base), a).await;
+                ctx.store(self.obs.add(base + 8), b).await;
             }
         }
     }
@@ -216,29 +216,32 @@ impl Program for AtomicPair {
         self.bad = s.alloc(8);
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
+    async fn run(&self, ctx: &mut GuestCtx) {
         let (a, b, bad) = (self.a, self.b, self.bad);
         if ctx.tid.is_multiple_of(2) {
             for i in 1..=20u64 {
-                ctx.critical(|tx| {
-                    tx.store(a, i)?;
-                    tx.compute(15)?;
-                    tx.store(b, i)?;
+                ctx.critical(async |tx| {
+                    tx.store(a, i).await?;
+                    tx.compute(15).await?;
+                    tx.store(b, i).await?;
                     Ok(())
-                });
+                })
+                .await;
             }
         } else {
             for _ in 0..20 {
-                let torn = ctx.critical(|tx| {
-                    let x = tx.load(a)?;
-                    tx.compute(10)?;
-                    let y = tx.load(b)?;
-                    Ok(x != y)
-                });
+                let torn = ctx
+                    .critical(async |tx| {
+                        let x = tx.load(a).await?;
+                        tx.compute(10).await?;
+                        let y = tx.load(b).await?;
+                        Ok(x != y)
+                    })
+                    .await;
                 if torn {
-                    ctx.store(bad, 1);
+                    ctx.store(bad, 1).await;
                 }
-                ctx.compute(12);
+                ctx.compute(12).await;
             }
         }
     }

@@ -1,4 +1,4 @@
-//! Full-stack runtime tests: guest programs on OS threads, through the
+//! Full-stack runtime tests: native guest programs, through the
 //! elided-lock runtime, the engine, and the coherence protocol, on every
 //! Table-II system.
 
@@ -35,16 +35,17 @@ impl Program for Counter {
         self.addr = s.alloc(8);
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
+    async fn run(&self, ctx: &mut GuestCtx) {
         let addr = self.addr;
         for _ in 0..self.per_thread {
-            ctx.critical(|tx| {
-                let v = tx.load(addr)?;
-                tx.compute(20)?;
-                tx.store(addr, v + 1)?;
+            ctx.critical(async |tx| {
+                let v = tx.load(addr).await?;
+                tx.compute(20).await?;
+                tx.store(addr, v + 1).await?;
                 Ok(())
-            });
-            ctx.compute(30);
+            })
+            .await;
+            ctx.compute(30).await;
         }
     }
 
@@ -73,8 +74,8 @@ impl Program for CheckedCounter {
         self.inner.setup(s, threads);
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
-        self.inner.run(ctx);
+    async fn run(&self, ctx: &mut GuestCtx) {
+        self.inner.run(ctx).await;
     }
 
     fn validate(&self, mem: &FlatMem) -> Result<(), String> {
@@ -215,18 +216,19 @@ impl Program for BigTx {
         self.base = s.alloc(self.lines * 8);
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
+    async fn run(&self, ctx: &mut GuestCtx) {
         let base = self.base;
         let lines = self.lines;
         for _ in 0..self.rounds {
-            ctx.critical(|tx| {
+            ctx.critical(async |tx| {
                 for i in 0..lines {
                     let a = base.add(i * 8);
-                    let v = tx.load(a)?;
-                    tx.store(a, v + 1)?;
+                    let v = tx.load(a).await?;
+                    tx.store(a, v + 1).await?;
                 }
                 Ok(())
-            });
+            })
+            .await;
         }
     }
 
@@ -342,15 +344,16 @@ impl Program for Faulter {
         self.region = s.alloc(0);
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
+    async fn run(&self, ctx: &mut GuestCtx) {
         // Touch fresh pages inside transactions: each first touch faults.
         for p in 0..self.pages {
             let page = 1_000_000 + ctx.tid as u64 * 1000 + p;
-            ctx.critical(|tx| {
-                tx.page_touch(page)?;
-                tx.compute(10)?;
+            ctx.critical(async |tx| {
+                tx.page_touch(page).await?;
+                tx.compute(10).await?;
                 Ok(())
-            });
+            })
+            .await;
         }
     }
 }
@@ -422,15 +425,15 @@ fn barrier_synchronizes_threads() {
         fn setup(&mut self, s: &mut SetupCtx, threads: usize) {
             self.flags = s.alloc(threads as u64 * 8);
         }
-        fn run(&self, ctx: &mut GuestCtx) {
+        async fn run(&self, ctx: &mut GuestCtx) {
             // Phase 1: publish; barrier; phase 2: everyone checks everyone.
-            ctx.store(self.flags.add(ctx.tid as u64 * 8), 1);
-            ctx.barrier();
+            ctx.store(self.flags.add(ctx.tid as u64 * 8), 1).await;
+            ctx.barrier().await;
             for t in 0..ctx.threads {
-                let v = ctx.load(self.flags.add(t as u64 * 8));
+                let v = ctx.load(self.flags.add(t as u64 * 8)).await;
                 assert_eq!(v, 1, "thread {} missed thread {t}'s flag", ctx.tid);
             }
-            ctx.barrier();
+            ctx.barrier().await;
         }
     }
     let mut prog = BarrierProg { flags: Addr::NULL };

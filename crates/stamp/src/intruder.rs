@@ -150,55 +150,58 @@ impl Program for Intruder {
         }
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
+    async fn run(&self, ctx: &mut GuestCtx) {
         let alloc = self.alloc.unwrap();
         let queue = self.queue.unwrap();
         let map = self.map.unwrap();
         let frags_needed = &self.frags_of;
         loop {
             // Tx 1: grab a fragment.
-            let frag = ctx.critical(|tx| queue.pop(tx));
+            let frag = ctx.critical(async |tx| queue.pop(tx).await).await;
             let Some(frag) = frag else { break };
             let (flow, _idx, payload) = dec(frag);
 
             // Tx 2: reassemble; detect completion.
             let need = frags_needed[flow as usize];
-            let completed = ctx.critical(|tx| {
-                let entry = match map.find(tx, flow)? {
-                    Some(e) => Addr(e),
-                    None => {
-                        let e = alloc.alloc(tx, ENTRY_WORDS)?;
-                        tx.store(e.add(E_GOT), 0)?;
-                        tx.store(e.add(E_NEED), need)?;
-                        tx.store(e.add(E_ACC), 0)?;
-                        map.insert(tx, &alloc, flow, e.0)?;
-                        e
+            let completed = ctx
+                .critical(async |tx| {
+                    let entry = match map.find(tx, flow).await? {
+                        Some(e) => Addr(e),
+                        None => {
+                            let e = alloc.alloc(tx, ENTRY_WORDS).await?;
+                            tx.store(e.add(E_GOT), 0).await?;
+                            tx.store(e.add(E_NEED), need).await?;
+                            tx.store(e.add(E_ACC), 0).await?;
+                            map.insert(tx, &alloc, flow, e.0).await?;
+                            e
+                        }
+                    };
+                    let got = tx.load(entry.add(E_GOT)).await? + 1;
+                    tx.store(entry.add(E_GOT), got).await?;
+                    let acc = tx.load(entry.add(E_ACC)).await? + payload;
+                    tx.store(entry.add(E_ACC), acc).await?;
+                    if got == tx.load(entry.add(E_NEED)).await? {
+                        map.remove(tx, flow).await?;
+                        Ok(Some(acc))
+                    } else {
+                        Ok(None)
                     }
-                };
-                let got = tx.load(entry.add(E_GOT))? + 1;
-                tx.store(entry.add(E_GOT), got)?;
-                let acc = tx.load(entry.add(E_ACC))? + payload;
-                tx.store(entry.add(E_ACC), acc)?;
-                if got == tx.load(entry.add(E_NEED))? {
-                    map.remove(tx, flow)?;
-                    Ok(Some(acc))
-                } else {
-                    Ok(None)
-                }
-            });
+                })
+                .await;
 
             if let Some(acc) = completed {
                 // Detection: pure computation over the reassembled flow.
-                ctx.compute(60 + (acc % 64));
+                ctx.compute(60 + (acc % 64)).await;
                 // Tx 3: record the verdict.
                 let cell = self.verdicts.add(flow);
-                ctx.critical(|tx| {
-                    let prev = tx.load(cell)?;
+                ctx.critical(async |tx| {
+                    let prev = tx.load(cell).await?;
                     debug_assert_eq!(prev, 0, "flow detected twice");
                     let _ = prev;
-                    tx.store(cell, acc)?;
+                    tx.store(cell, acc).await?;
                     Ok(())
-                });
+                })
+                .await;
             }
         }
     }

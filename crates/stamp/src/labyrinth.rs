@@ -111,7 +111,7 @@ impl Labyrinth {
 
     /// One routing attempt inside a transaction: BFS over free cells from
     /// src to dst, then claim the path by writing `mark` into its cells.
-    fn route(
+    async fn route(
         &self,
         tx: &mut TxCtx,
         alloc: &TmAlloc,
@@ -121,7 +121,7 @@ impl Labyrinth {
     ) -> Result<bool, Abort> {
         let cells = self.width * self.height;
         // The endpoints themselves must still be free.
-        if tx.load(self.cell_addr(src))? != 0 || tx.load(self.cell_addr(dst))? != 0 {
+        if tx.load(self.cell_addr(src)).await? != 0 || tx.load(self.cell_addr(dst)).await? != 0 {
             return Ok(false);
         }
         // Per-thread BFS bookkeeping (parent + 1; 0 = unvisited), re-zeroed
@@ -131,37 +131,37 @@ impl Labyrinth {
             .parent_bufs
             .add(tx.tid() as u64 * cells.next_multiple_of(8));
         for c in 0..cells {
-            tx.store(parent.add(c), 0)?;
+            tx.store(parent.add(c), 0).await?;
         }
         // The claimed path is recorded in a freshly allocated list, as the
         // original mallocs its path vector (occasional paging faults).
-        let path_buf = alloc.alloc(tx, (self.width + self.height) * 2)?;
+        let path_buf = alloc.alloc(tx, (self.width + self.height) * 2).await?;
         let _ = path_buf;
         let mut frontier = vec![src];
-        tx.store(parent.add(src), src + 1)?;
+        tx.store(parent.add(src), src + 1).await?;
         let mut found = false;
         'bfs: while !frontier.is_empty() {
             let mut next = Vec::new();
             for &c in &frontier {
                 for n in self.neighbors(c) {
-                    if tx.load(parent.add(n))? != 0 {
+                    if tx.load(parent.add(n)).await? != 0 {
                         continue;
                     }
                     // Occupied cells block the route — including the
                     // destination: claiming an occupied dst would sever
                     // the path that runs through it.
-                    let v = tx.load(self.cell_addr(n))?;
+                    let v = tx.load(self.cell_addr(n)).await?;
                     if v != 0 {
                         continue;
                     }
-                    tx.store(parent.add(n), c + 1)?;
+                    tx.store(parent.add(n), c + 1).await?;
                     if n == dst {
                         found = true;
                         break 'bfs;
                     }
                     next.push(n);
                 }
-                tx.compute(4)?;
+                tx.compute(4).await?;
             }
             frontier = next;
         }
@@ -171,11 +171,11 @@ impl Labyrinth {
         // Backtrack and claim.
         let mut c = dst;
         loop {
-            tx.store(self.cell_addr(c), mark)?;
+            tx.store(self.cell_addr(c), mark).await?;
             if c == src {
                 break;
             }
-            c = tx.load(parent.add(c))? - 1;
+            c = tx.load(parent.add(c)).await? - 1;
         }
         Ok(true)
     }
@@ -221,21 +221,24 @@ impl Program for Labyrinth {
         }
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
+    async fn run(&self, ctx: &mut GuestCtx) {
         let alloc = self.alloc.unwrap();
         let queue = self.queue.unwrap();
         loop {
-            let req = ctx.critical(|tx| queue.pop(tx));
+            let req = ctx.critical(async |tx| queue.pop(tx).await).await;
             let Some(req) = req else { break };
             let (src, dst) = self.requests[req as usize];
             let mark = req + 2; // 0 = free, 1 = reserved, 2+ = route id + 2
-            let routed = ctx.critical(|tx| self.route(tx, &alloc, src, dst, mark));
+            let routed = ctx
+                .critical(async |tx| self.route(tx, &alloc, src, dst, mark).await)
+                .await;
             let cell = self.results.add(req);
-            ctx.critical(|tx| {
-                tx.store(cell, if routed { 1 } else { 0 })?;
+            ctx.critical(async |tx| {
+                tx.store(cell, if routed { 1 } else { 0 }).await?;
                 Ok(())
-            });
-            ctx.compute(50);
+            })
+            .await;
+            ctx.compute(50).await;
         }
     }
 

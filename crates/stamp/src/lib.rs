@@ -98,10 +98,37 @@ impl Scale {
     }
 }
 
-/// A boxed workload instance implementing [`Program`].
+/// One instantiated workload of any kind, implementing [`Program`] by
+/// dispatching to the port it wraps.
 pub struct Workload {
-    inner: Box<dyn Program + Send + Sync>,
+    inner: Port,
     kind: WorkloadKind,
+}
+
+/// The STAMP port behind a [`Workload`].
+enum Port {
+    Genome(genome::Genome),
+    Intruder(intruder::Intruder),
+    Kmeans(kmeans::Kmeans),
+    Labyrinth(labyrinth::Labyrinth),
+    Ssca2(ssca2::Ssca2),
+    Vacation(vacation::Vacation),
+    Yada(yada::Yada),
+}
+
+/// Evaluate `$body` with `$p` bound to the port inside `$port`.
+macro_rules! with_port {
+    ($port:expr, $p:ident => $body:expr) => {
+        match $port {
+            Port::Genome($p) => $body,
+            Port::Intruder($p) => $body,
+            Port::Kmeans($p) => $body,
+            Port::Labyrinth($p) => $body,
+            Port::Ssca2($p) => $body,
+            Port::Vacation($p) => $body,
+            Port::Yada($p) => $body,
+        }
+    };
 }
 
 impl Workload {
@@ -118,16 +145,20 @@ impl Workload {
     }
 
     pub fn with_scale(kind: WorkloadKind, threads: usize, scale: Scale) -> Workload {
-        let inner: Box<dyn Program + Send + Sync> = match kind {
-            WorkloadKind::Genome => Box::new(genome::Genome::new(scale, threads)),
-            WorkloadKind::Intruder => Box::new(intruder::Intruder::new(scale, threads)),
-            WorkloadKind::KmeansHigh => Box::new(kmeans::Kmeans::new(scale, threads, true)),
-            WorkloadKind::KmeansLow => Box::new(kmeans::Kmeans::new(scale, threads, false)),
-            WorkloadKind::Labyrinth => Box::new(labyrinth::Labyrinth::new(scale, threads)),
-            WorkloadKind::Ssca2 => Box::new(ssca2::Ssca2::new(scale, threads)),
-            WorkloadKind::VacationHigh => Box::new(vacation::Vacation::new(scale, threads, true)),
-            WorkloadKind::VacationLow => Box::new(vacation::Vacation::new(scale, threads, false)),
-            WorkloadKind::Yada => Box::new(yada::Yada::new(scale, threads)),
+        let inner = match kind {
+            WorkloadKind::Genome => Port::Genome(genome::Genome::new(scale, threads)),
+            WorkloadKind::Intruder => Port::Intruder(intruder::Intruder::new(scale, threads)),
+            WorkloadKind::KmeansHigh => Port::Kmeans(kmeans::Kmeans::new(scale, threads, true)),
+            WorkloadKind::KmeansLow => Port::Kmeans(kmeans::Kmeans::new(scale, threads, false)),
+            WorkloadKind::Labyrinth => Port::Labyrinth(labyrinth::Labyrinth::new(scale, threads)),
+            WorkloadKind::Ssca2 => Port::Ssca2(ssca2::Ssca2::new(scale, threads)),
+            WorkloadKind::VacationHigh => {
+                Port::Vacation(vacation::Vacation::new(scale, threads, true))
+            }
+            WorkloadKind::VacationLow => {
+                Port::Vacation(vacation::Vacation::new(scale, threads, false))
+            }
+            WorkloadKind::Yada => Port::Yada(yada::Yada::new(scale, threads)),
         };
         Workload { inner, kind }
     }
@@ -143,19 +174,19 @@ impl Program for Workload {
     }
 
     fn setup(&mut self, s: &mut SetupCtx, threads: usize) {
-        self.inner.setup(s, threads);
+        with_port!(&mut self.inner, p => p.setup(s, threads));
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
-        self.inner.run(ctx);
+    async fn run(&self, ctx: &mut GuestCtx) {
+        with_port!(&self.inner, p => p.run(ctx).await);
     }
 
     fn guest_exec(&self, env: lockiller::GuestEnv) -> Option<Box<dyn lockiller::GuestExec + '_>> {
-        self.inner.guest_exec(env)
+        with_port!(&self.inner, p => p.guest_exec(env))
     }
 
     fn validate(&self, mem: &FlatMem) -> Result<(), String> {
-        self.inner.validate(mem)
+        with_port!(&self.inner, p => p.validate(mem))
     }
 }
 

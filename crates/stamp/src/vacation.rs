@@ -148,7 +148,7 @@ impl Program for Vacation {
             .collect();
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
+    async fn run(&self, ctx: &mut GuestCtx) {
         let alloc = self.alloc.unwrap();
         let range = ((self.relation_size as u64 * self.range_pct) / 100).max(2);
         for _task in 0..self.tasks_per_thread {
@@ -168,73 +168,78 @@ impl Program for Vacation {
                 let relations = &self.relations;
                 let clist = self.cust_lists[customer].unwrap();
                 let next_res_key = ctx.rng.next_u64() | 1; // unique list key
-                ctx.critical(|tx| {
+                ctx.critical(async |tx| {
                     for (rel, rel_ids) in ids.iter().enumerate() {
                         let map = relations[rel].unwrap();
                         let mut best: Option<(u64, Addr)> = None;
                         let mut best_price = u64::MAX;
                         for &id in rel_ids {
-                            if let Some(rec) = map.find(tx, id)? {
+                            if let Some(rec) = map.find(tx, id).await? {
                                 let rec = Addr(rec);
-                                let free = tx.load(rec.add(R_FREE))?;
-                                let price = tx.load(rec.add(R_PRICE))?;
+                                let free = tx.load(rec.add(R_FREE)).await?;
+                                let price = tx.load(rec.add(R_PRICE)).await?;
                                 if free > 0 && price < best_price {
                                     best_price = price;
                                     best = Some((id, rec));
                                 }
                             }
-                            tx.compute(6)?;
+                            tx.compute(6).await?;
                         }
                         if let Some((id, rec)) = best {
-                            let free = tx.load(rec.add(R_FREE))?;
-                            tx.store(rec.add(R_FREE), free - 1)?;
-                            clist.insert(
-                                tx,
-                                &alloc,
-                                next_res_key.wrapping_add(rel as u64),
-                                res_code(rel, id),
-                            )?;
+                            let free = tx.load(rec.add(R_FREE)).await?;
+                            tx.store(rec.add(R_FREE), free - 1).await?;
+                            clist
+                                .insert(
+                                    tx,
+                                    &alloc,
+                                    next_res_key.wrapping_add(rel as u64),
+                                    res_code(rel, id),
+                                )
+                                .await?;
                         }
                     }
                     Ok(())
-                });
+                })
+                .await;
             } else if roll < 90 {
                 // Delete customer: release all reservations.
                 let customer = ctx.rng.below(self.customers as u64) as usize;
                 let clist = self.cust_lists[customer].unwrap();
-                ctx.critical(|tx| {
-                    let held = clist.to_vec(tx)?;
+                ctx.critical(async |tx| {
+                    let held = clist.to_vec(tx).await?;
                     for (key, code) in held {
                         let (_rel, id) = res_decode(code);
                         let _ = id;
                         let rec = {
                             let (rel, id) = res_decode(code);
                             let map = self.relations[rel].unwrap();
-                            map.find(tx, id)?
+                            map.find(tx, id).await?
                         };
                         if let Some(rec) = rec {
                             let rec = Addr(rec);
-                            let free = tx.load(rec.add(R_FREE))?;
-                            tx.store(rec.add(R_FREE), free + 1)?;
+                            let free = tx.load(rec.add(R_FREE)).await?;
+                            tx.store(rec.add(R_FREE), free + 1).await?;
                         }
-                        clist.remove(tx, key)?;
+                        clist.remove(tx, key).await?;
                     }
                     Ok(())
-                });
+                })
+                .await;
             } else {
                 // Update tables: re-price random records.
                 let rel = ctx.rng.below(NRELATIONS as u64) as usize;
                 let id = ctx.rng.below(range);
                 let new_price = 100 + ctx.rng.below(400);
                 let map = self.relations[rel].unwrap();
-                ctx.critical(|tx| {
-                    if let Some(rec) = map.find(tx, id)? {
-                        tx.store(Addr(rec).add(R_PRICE), new_price)?;
+                ctx.critical(async |tx| {
+                    if let Some(rec) = map.find(tx, id).await? {
+                        tx.store(Addr(rec).add(R_PRICE), new_price).await?;
                     }
                     Ok(())
-                });
+                })
+                .await;
             }
-            ctx.compute(40);
+            ctx.compute(40).await;
         }
     }
 

@@ -263,8 +263,8 @@ impl Program for IntruderFlow {
         self.kernel = Some(Arc::new(self.compile()));
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
-        guestvm::run_on_ctx(self.kernel.as_ref().expect("setup first"), ctx);
+    async fn run(&self, ctx: &mut GuestCtx) {
+        guestvm::run_on_ctx(self.kernel.as_ref().expect("setup first"), ctx).await;
     }
 
     fn guest_exec(&self, env: GuestEnv) -> Option<Box<dyn GuestExec + '_>> {

@@ -129,20 +129,20 @@ impl Program for Yada {
         s.write(self.refinements, 0);
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
+    async fn run(&self, ctx: &mut GuestCtx) {
         let heap = self.heap.unwrap();
         let alloc = self.alloc.unwrap();
         let max_gen = self.max_generation;
         let refinements = self.refinements;
         loop {
-            let work = ctx.critical(|tx| heap.pop(tx));
+            let work = ctx.critical(async |tx| heap.pop(tx).await).await;
             let Some(elem) = work else { break };
             let elem = Addr(elem);
             // Refinement transaction: cavity walk + retriangulation.
-            ctx.critical(|tx| {
+            ctx.critical(async |tx| {
                 // The element may have been fixed by a neighbouring
                 // refinement already (yada re-checks after popping).
-                if tx.load(elem.add(E_BAD))? == 0 {
+                if tx.load(elem.add(E_BAD)).await? == 0 {
                     return Ok(());
                 }
                 // Cavity: BFS over the adjacency up to depth 2 — an
@@ -153,7 +153,7 @@ impl Program for Yada {
                     let mut next = Vec::new();
                     for &e in &frontier {
                         for k in 0..NBRS {
-                            let nb = tx.load(e.add(E_NBR + k))?;
+                            let nb = tx.load(e.add(E_NBR + k)).await?;
                             if nb != 0 && !cavity.contains(&Addr(nb)) {
                                 cavity.push(Addr(nb));
                                 next.push(Addr(nb));
@@ -162,38 +162,38 @@ impl Program for Yada {
                     }
                     frontier = next;
                 }
-                tx.compute(40)?; // circumcircle tests etc.
+                tx.compute(40).await?; // circumcircle tests etc.
 
                 // Retriangulate: allocate replacements (faults live here),
                 // splice them in place of the popped element.
-                let gen = tx.load(elem.add(E_GEN))?;
+                let gen = tx.load(elem.add(E_GEN)).await?;
                 let n_new = 2u64;
                 let mut fresh = Vec::new();
                 for _ in 0..n_new {
-                    let ne = alloc.alloc_zeroed(tx, ELEM_WORDS)?;
-                    tx.store(ne.add(E_GEN), gen + 1)?;
+                    let ne = alloc.alloc_zeroed(tx, ELEM_WORDS).await?;
+                    tx.store(ne.add(E_GEN), gen + 1).await?;
                     fresh.push(ne);
                 }
                 // Wire the fresh pair to each other and into the cavity.
-                tx.store(fresh[0].add(E_NBR), fresh[1].0)?;
-                tx.store(fresh[1].add(E_NBR), fresh[0].0)?;
+                tx.store(fresh[0].add(E_NBR), fresh[1].0).await?;
+                tx.store(fresh[1].add(E_NBR), fresh[0].0).await?;
                 // Replace `elem` in its neighbours' link slots with the
                 // fresh elements (alternating), and clear elem's badness.
                 let mut alt = 0usize;
                 for k in 0..NBRS {
-                    let nb = tx.load(elem.add(E_NBR + k))?;
+                    let nb = tx.load(elem.add(E_NBR + k)).await?;
                     if nb == 0 {
                         continue;
                     }
                     let nb = Addr(nb);
                     for j in 0..NBRS {
-                        if tx.load(nb.add(E_NBR + j))? == elem.0 {
-                            tx.store(nb.add(E_NBR + j), fresh[alt % 2].0)?;
+                        if tx.load(nb.add(E_NBR + j)).await? == elem.0 {
+                            tx.store(nb.add(E_NBR + j), fresh[alt % 2].0).await?;
                             let back = fresh[alt % 2];
                             // Give the fresh element a back-link slot.
                             for m in 0..NBRS {
-                                if tx.load(back.add(E_NBR + m))? == 0 {
-                                    tx.store(back.add(E_NBR + m), nb.0)?;
+                                if tx.load(back.add(E_NBR + m)).await? == 0 {
+                                    tx.store(back.add(E_NBR + m), nb.0).await?;
                                     break;
                                 }
                             }
@@ -201,24 +201,25 @@ impl Program for Yada {
                         }
                     }
                 }
-                tx.store(elem.add(E_BAD), 0)?;
+                tx.store(elem.add(E_BAD), 0).await?;
                 // Unlink elem entirely.
                 for k in 0..NBRS {
-                    tx.store(elem.add(E_NBR + k), 0)?;
+                    tx.store(elem.add(E_NBR + k), 0).await?;
                 }
                 // New work: fresh elements below the generation cap are
                 // bad and go back on the heap (decaying workload).
                 if gen < max_gen {
                     for &ne in &fresh {
-                        tx.store(ne.add(E_BAD), 1)?;
-                        heap.push(tx, ne.0)?;
+                        tx.store(ne.add(E_BAD), 1).await?;
+                        heap.push(tx, ne.0).await?;
                     }
                 }
-                let r = tx.load(refinements)?;
-                tx.store(refinements, r + 1)?;
+                let r = tx.load(refinements).await?;
+                tx.store(refinements, r + 1).await?;
                 Ok(())
-            });
-            ctx.compute(30);
+            })
+            .await;
+            ctx.compute(30).await;
         }
     }
 

@@ -40,16 +40,17 @@ impl Program for Counter {
         self.addr = s.alloc(8);
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
+    async fn run(&self, ctx: &mut GuestCtx) {
         let addr = self.addr;
         for _ in 0..self.per_thread {
-            ctx.critical(|tx| {
-                let v = tx.load(addr)?;
-                tx.compute(30)?;
-                tx.store(addr, v + 1)?;
+            ctx.critical(async |tx| {
+                let v = tx.load(addr).await?;
+                tx.compute(30).await?;
+                tx.store(addr, v + 1).await?;
                 Ok(())
-            });
-            ctx.compute(10);
+            })
+            .await;
+            ctx.compute(10).await;
         }
     }
 
@@ -160,21 +161,23 @@ impl Program for Starver {
         self.addr = s.alloc(8);
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
+    async fn run(&self, ctx: &mut GuestCtx) {
         let addr = self.addr;
         if ctx.tid == 0 {
-            ctx.critical(|tx| {
-                tx.store(addr, 1)?;
-                tx.compute(600)
-            });
+            ctx.critical(async |tx| {
+                tx.store(addr, 1).await?;
+                tx.compute(600).await
+            })
+            .await;
         } else {
             // Arrive mid-window, when thread 0's write bit is set and its
             // instruction-based priority is far ahead.
-            ctx.compute(300);
-            ctx.critical(|tx| {
-                tx.store(addr, 2)?;
-                tx.compute(5)
-            });
+            ctx.compute(300).await;
+            ctx.critical(async |tx| {
+                tx.store(addr, 2).await?;
+                tx.compute(5).await
+            })
+            .await;
         }
     }
 }

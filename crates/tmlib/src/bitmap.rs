@@ -29,35 +29,35 @@ impl Bitmap {
         Bitmap { base }
     }
 
-    pub fn nbits(&self, tx: &mut TxCtx) -> Result<u64, Abort> {
-        tx.load(self.base.add(NBITS))
+    pub async fn nbits(&self, tx: &mut TxCtx) -> Result<u64, Abort> {
+        tx.load(self.base.add(NBITS)).await
     }
 
     /// Set bit `i`; returns the previous value.
-    pub fn test_and_set(&self, tx: &mut TxCtx, i: u64) -> Result<bool, Abort> {
+    pub async fn test_and_set(&self, tx: &mut TxCtx, i: u64) -> Result<bool, Abort> {
         let cell = self.base.add(WORDS + i / 64);
-        let w = tx.load(cell)?;
+        let w = tx.load(cell).await?;
         let mask = 1u64 << (i % 64);
         if w & mask != 0 {
             return Ok(true);
         }
-        tx.store(cell, w | mask)?;
+        tx.store(cell, w | mask).await?;
         Ok(false)
     }
 
-    pub fn set(&self, tx: &mut TxCtx, i: u64) -> Result<(), Abort> {
-        self.test_and_set(tx, i).map(|_| ())
+    pub async fn set(&self, tx: &mut TxCtx, i: u64) -> Result<(), Abort> {
+        self.test_and_set(tx, i).await.map(|_| ())
     }
 
-    pub fn clear(&self, tx: &mut TxCtx, i: u64) -> Result<(), Abort> {
+    pub async fn clear(&self, tx: &mut TxCtx, i: u64) -> Result<(), Abort> {
         let cell = self.base.add(WORDS + i / 64);
-        let w = tx.load(cell)?;
-        tx.store(cell, w & !(1u64 << (i % 64)))?;
+        let w = tx.load(cell).await?;
+        tx.store(cell, w & !(1u64 << (i % 64))).await?;
         Ok(())
     }
 
-    pub fn test(&self, tx: &mut TxCtx, i: u64) -> Result<bool, Abort> {
-        let w = tx.load(self.base.add(WORDS + i / 64))?;
+    pub async fn test(&self, tx: &mut TxCtx, i: u64) -> Result<bool, Abort> {
+        let w = tx.load(self.base.add(WORDS + i / 64)).await?;
         Ok(w & (1u64 << (i % 64)) != 0)
     }
 
@@ -84,20 +84,20 @@ mod tests {
             |s| {
                 *h.lock().unwrap() = Some(Bitmap::setup(s, 200));
             },
-            |tx| {
+            async |tx| {
                 let b = h.lock().unwrap().unwrap();
-                assert_eq!(b.nbits(tx)?, 200);
-                assert!(!b.test(tx, 5)?);
-                assert!(!b.test_and_set(tx, 5)?);
-                assert!(b.test_and_set(tx, 5)?);
-                assert!(b.test(tx, 5)?);
+                assert_eq!(b.nbits(tx).await?, 200);
+                assert!(!b.test(tx, 5).await?);
+                assert!(!b.test_and_set(tx, 5).await?);
+                assert!(b.test_and_set(tx, 5).await?);
+                assert!(b.test(tx, 5).await?);
                 // Bits in a different word.
-                assert!(!b.test(tx, 150)?);
-                b.set(tx, 150)?;
-                assert!(b.test(tx, 150)?);
-                b.clear(tx, 5)?;
-                assert!(!b.test(tx, 5)?);
-                assert!(b.test(tx, 150)?);
+                assert!(!b.test(tx, 150).await?);
+                b.set(tx, 150).await?;
+                assert!(b.test(tx, 150).await?);
+                b.clear(tx, 5).await?;
+                assert!(!b.test(tx, 5).await?);
+                assert!(b.test(tx, 150).await?);
                 Ok(())
             },
         );
@@ -110,10 +110,10 @@ mod tests {
             |s| {
                 *h.lock().unwrap() = Some(Bitmap::setup(s, 128));
             },
-            |tx| {
+            async |tx| {
                 let b = h.lock().unwrap().unwrap();
                 for i in [0u64, 63, 64, 127] {
-                    b.set(tx, i)?;
+                    b.set(tx, i).await?;
                 }
                 Ok(())
             },

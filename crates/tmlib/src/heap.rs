@@ -49,41 +49,41 @@ impl Heap {
         }
     }
 
-    pub fn push(&self, tx: &mut TxCtx, value: u64) -> Result<(), Abort> {
-        let len = tx.load(self.base.add(LEN))?;
-        let cap = tx.load(self.base.add(CAP))?;
+    pub async fn push(&self, tx: &mut TxCtx, value: u64) -> Result<(), Abort> {
+        let len = tx.load(self.base.add(LEN)).await?;
+        let cap = tx.load(self.base.add(CAP)).await?;
         assert!(len < cap, "heap overflow");
-        tx.store(self.base.add(ELEMS + len), value)?;
-        tx.store(self.base.add(LEN), len + 1)?;
+        tx.store(self.base.add(ELEMS + len), value).await?;
+        tx.store(self.base.add(LEN), len + 1).await?;
         let mut i = len;
         while i > 0 {
             let parent = (i - 1) / 2;
-            let pv = tx.load(self.base.add(ELEMS + parent))?;
-            let cv = tx.load(self.base.add(ELEMS + i))?;
+            let pv = tx.load(self.base.add(ELEMS + parent)).await?;
+            let cv = tx.load(self.base.add(ELEMS + i)).await?;
             if cv <= pv {
                 break;
             }
-            tx.store(self.base.add(ELEMS + parent), cv)?;
-            tx.store(self.base.add(ELEMS + i), pv)?;
+            tx.store(self.base.add(ELEMS + parent), cv).await?;
+            tx.store(self.base.add(ELEMS + i), pv).await?;
             i = parent;
         }
         Ok(())
     }
 
     /// Pop the maximum; `None` when empty.
-    pub fn pop(&self, tx: &mut TxCtx) -> Result<Option<u64>, Abort> {
-        let len = tx.load(self.base.add(LEN))?;
+    pub async fn pop(&self, tx: &mut TxCtx) -> Result<Option<u64>, Abort> {
+        let len = tx.load(self.base.add(LEN)).await?;
         if len == 0 {
             return Ok(None);
         }
-        let top = tx.load(self.base.add(ELEMS))?;
-        let last = tx.load(self.base.add(ELEMS + len - 1))?;
-        tx.store(self.base.add(LEN), len - 1)?;
+        let top = tx.load(self.base.add(ELEMS)).await?;
+        let last = tx.load(self.base.add(ELEMS + len - 1)).await?;
+        tx.store(self.base.add(LEN), len - 1).await?;
         let n = len - 1;
         if n == 0 {
             return Ok(Some(top));
         }
-        tx.store(self.base.add(ELEMS), last)?;
+        tx.store(self.base.add(ELEMS), last).await?;
         // Sift down.
         let mut i = 0u64;
         loop {
@@ -93,31 +93,31 @@ impl Heap {
                 break;
             }
             let mut big = l;
-            let mut bv = tx.load(self.base.add(ELEMS + l))?;
+            let mut bv = tx.load(self.base.add(ELEMS + l)).await?;
             if r < n {
-                let rv = tx.load(self.base.add(ELEMS + r))?;
+                let rv = tx.load(self.base.add(ELEMS + r)).await?;
                 if rv > bv {
                     big = r;
                     bv = rv;
                 }
             }
-            let cv = tx.load(self.base.add(ELEMS + i))?;
+            let cv = tx.load(self.base.add(ELEMS + i)).await?;
             if cv >= bv {
                 break;
             }
-            tx.store(self.base.add(ELEMS + i), bv)?;
-            tx.store(self.base.add(ELEMS + big), cv)?;
+            tx.store(self.base.add(ELEMS + i), bv).await?;
+            tx.store(self.base.add(ELEMS + big), cv).await?;
             i = big;
         }
         Ok(Some(top))
     }
 
-    pub fn len(&self, tx: &mut TxCtx) -> Result<u64, Abort> {
-        tx.load(self.base.add(LEN))
+    pub async fn len(&self, tx: &mut TxCtx) -> Result<u64, Abort> {
+        tx.load(self.base.add(LEN)).await
     }
 
-    pub fn is_empty(&self, tx: &mut TxCtx) -> Result<bool, Abort> {
-        Ok(self.len(tx)? == 0)
+    pub async fn is_empty(&self, tx: &mut TxCtx) -> Result<bool, Abort> {
+        Ok(self.len(tx).await? == 0)
     }
 }
 
@@ -127,10 +127,7 @@ mod tests {
     use crate::testutil::run_tx;
     use std::sync::Mutex;
 
-    fn with_heap(
-        seed: &'static [u64],
-        body: impl Fn(&mut TxCtx, &Heap) -> Result<(), Abort> + Send + Sync,
-    ) {
+    fn with_heap(seed: &'static [u64], body: impl AsyncFn(&mut TxCtx, &Heap) -> Result<(), Abort>) {
         let handles: Mutex<Option<Heap>> = Mutex::new(None);
         let handles = &handles;
         run_tx(
@@ -141,21 +138,21 @@ mod tests {
                 }
                 *handles.lock().unwrap() = Some(h);
             },
-            |tx| {
+            async |tx| {
                 let h = handles.lock().unwrap().unwrap();
-                body(tx, &h)
+                body(tx, &h).await
             },
         );
     }
 
     #[test]
     fn pops_in_descending_order() {
-        with_heap(&[], |tx, h| {
+        with_heap(&[], async |tx, h| {
             for v in [5u64, 1, 9, 3, 7, 2, 8] {
-                h.push(tx, v)?;
+                h.push(tx, v).await?;
             }
             let mut got = Vec::new();
-            while let Some(v) = h.pop(tx)? {
+            while let Some(v) = h.pop(tx).await? {
                 got.push(v);
             }
             assert_eq!(got, vec![9, 8, 7, 5, 3, 2, 1]);
@@ -165,29 +162,29 @@ mod tests {
 
     #[test]
     fn setup_seed_heapifies() {
-        with_heap(&[4, 9, 1, 6], |tx, h| {
-            assert_eq!(h.len(tx)?, 4);
-            assert_eq!(h.pop(tx)?, Some(9));
-            assert_eq!(h.pop(tx)?, Some(6));
-            h.push(tx, 100)?;
-            assert_eq!(h.pop(tx)?, Some(100));
-            assert_eq!(h.pop(tx)?, Some(4));
-            assert_eq!(h.pop(tx)?, Some(1));
-            assert_eq!(h.pop(tx)?, None);
+        with_heap(&[4, 9, 1, 6], async |tx, h| {
+            assert_eq!(h.len(tx).await?, 4);
+            assert_eq!(h.pop(tx).await?, Some(9));
+            assert_eq!(h.pop(tx).await?, Some(6));
+            h.push(tx, 100).await?;
+            assert_eq!(h.pop(tx).await?, Some(100));
+            assert_eq!(h.pop(tx).await?, Some(4));
+            assert_eq!(h.pop(tx).await?, Some(1));
+            assert_eq!(h.pop(tx).await?, None);
             Ok(())
         });
     }
 
     #[test]
     fn duplicates_preserved() {
-        with_heap(&[], |tx, h| {
+        with_heap(&[], async |tx, h| {
             for v in [3u64, 3, 3, 1] {
-                h.push(tx, v)?;
+                h.push(tx, v).await?;
             }
-            assert_eq!(h.pop(tx)?, Some(3));
-            assert_eq!(h.pop(tx)?, Some(3));
-            assert_eq!(h.pop(tx)?, Some(3));
-            assert_eq!(h.pop(tx)?, Some(1));
+            assert_eq!(h.pop(tx).await?, Some(3));
+            assert_eq!(h.pop(tx).await?, Some(3));
+            assert_eq!(h.pop(tx).await?, Some(3));
+            assert_eq!(h.pop(tx).await?, Some(1));
             Ok(())
         });
     }

@@ -36,14 +36,14 @@ use sim_core::types::Addr;
 
 /// Read a struct field at word offset `off`.
 #[inline]
-pub fn get(tx: &mut TxCtx, base: Addr, off: u64) -> Result<u64, Abort> {
-    tx.load(base.add(off))
+pub async fn get(tx: &mut TxCtx, base: Addr, off: u64) -> Result<u64, Abort> {
+    tx.load(base.add(off)).await
 }
 
 /// Write a struct field at word offset `off`.
 #[inline]
-pub fn set(tx: &mut TxCtx, base: Addr, off: u64, v: u64) -> Result<(), Abort> {
-    tx.store(base.add(off), v)
+pub async fn set(tx: &mut TxCtx, base: Addr, off: u64, v: u64) -> Result<(), Abort> {
+    tx.store(base.add(off), v).await
 }
 
 #[cfg(test)]
@@ -66,8 +66,8 @@ pub(crate) mod testutil {
 
     impl<S, F> Program for OneShot<S, F>
     where
-        S: FnMut(&mut SetupCtx) + Send + Sync,
-        F: Fn(&mut TxCtx) -> Result<(), Abort> + Send + Sync,
+        S: FnMut(&mut SetupCtx),
+        F: AsyncFn(&mut TxCtx) -> Result<(), Abort>,
     {
         fn name(&self) -> &str {
             "oneshot"
@@ -77,16 +77,16 @@ pub(crate) mod testutil {
             (self.setup_fn)(s);
         }
 
-        fn run(&self, ctx: &mut GuestCtx) {
-            ctx.critical(|tx| (self.body)(tx));
+        async fn run(&self, ctx: &mut GuestCtx) {
+            ctx.critical(async |tx| (self.body)(tx).await).await;
         }
     }
 
     /// Run `setup` then `body` (as a single transaction on one core) and
     /// return the final memory image.
     pub fn run_tx(
-        setup: impl FnMut(&mut SetupCtx) + Send + Sync,
-        body: impl Fn(&mut TxCtx) -> Result<(), Abort> + Send + Sync,
+        setup: impl FnMut(&mut SetupCtx),
+        body: impl AsyncFn(&mut TxCtx) -> Result<(), Abort>,
     ) -> FlatMem {
         let mut prog = OneShot {
             setup_fn: setup,

@@ -44,44 +44,44 @@ impl Queue {
         s.write(self.hdr.add(TAIL), node.0);
     }
 
-    pub fn push(&self, tx: &mut TxCtx, alloc: &TmAlloc, value: u64) -> Result<(), Abort> {
-        let node = alloc.alloc(tx, NODE_WORDS)?;
-        tx.store(node.add(VAL), value)?;
-        tx.store(node.add(NEXT), 0)?;
-        let tail = tx.load(self.hdr.add(TAIL))?;
+    pub async fn push(&self, tx: &mut TxCtx, alloc: &TmAlloc, value: u64) -> Result<(), Abort> {
+        let node = alloc.alloc(tx, NODE_WORDS).await?;
+        tx.store(node.add(VAL), value).await?;
+        tx.store(node.add(NEXT), 0).await?;
+        let tail = tx.load(self.hdr.add(TAIL)).await?;
         if tail == 0 {
-            tx.store(self.hdr.add(HEAD), node.0)?;
+            tx.store(self.hdr.add(HEAD), node.0).await?;
         } else {
-            tx.store(Addr(tail).add(NEXT), node.0)?;
+            tx.store(Addr(tail).add(NEXT), node.0).await?;
         }
-        tx.store(self.hdr.add(TAIL), node.0)?;
+        tx.store(self.hdr.add(TAIL), node.0).await?;
         Ok(())
     }
 
-    pub fn pop(&self, tx: &mut TxCtx) -> Result<Option<u64>, Abort> {
-        let head = tx.load(self.hdr.add(HEAD))?;
+    pub async fn pop(&self, tx: &mut TxCtx) -> Result<Option<u64>, Abort> {
+        let head = tx.load(self.hdr.add(HEAD)).await?;
         if head == 0 {
             return Ok(None);
         }
         let node = Addr(head);
-        let next = tx.load(node.add(NEXT))?;
-        tx.store(self.hdr.add(HEAD), next)?;
+        let next = tx.load(node.add(NEXT)).await?;
+        tx.store(self.hdr.add(HEAD), next).await?;
         if next == 0 {
-            tx.store(self.hdr.add(TAIL), 0)?;
+            tx.store(self.hdr.add(TAIL), 0).await?;
         }
-        Ok(Some(tx.load(node.add(VAL))?))
+        Ok(Some(tx.load(node.add(VAL)).await?))
     }
 
-    pub fn is_empty(&self, tx: &mut TxCtx) -> Result<bool, Abort> {
-        Ok(tx.load(self.hdr.add(HEAD))? == 0)
+    pub async fn is_empty(&self, tx: &mut TxCtx) -> Result<bool, Abort> {
+        Ok(tx.load(self.hdr.add(HEAD)).await? == 0)
     }
 
-    pub fn len(&self, tx: &mut TxCtx) -> Result<u64, Abort> {
+    pub async fn len(&self, tx: &mut TxCtx) -> Result<u64, Abort> {
         let mut n = 0;
-        let mut cur = tx.load(self.hdr.add(HEAD))?;
+        let mut cur = tx.load(self.hdr.add(HEAD)).await?;
         while cur != 0 {
             n += 1;
-            cur = tx.load(Addr(cur).add(NEXT))?;
+            cur = tx.load(Addr(cur).add(NEXT)).await?;
         }
         Ok(n)
     }
@@ -95,7 +95,7 @@ mod tests {
 
     fn with_queue(
         seed: &'static [u64],
-        body: impl Fn(&mut TxCtx, &Queue, &TmAlloc) -> Result<(), Abort> + Send + Sync,
+        body: impl AsyncFn(&mut TxCtx, &Queue, &TmAlloc) -> Result<(), Abort>,
     ) {
         let handles: Mutex<Option<(Queue, TmAlloc)>> = Mutex::new(None);
         let handles = &handles;
@@ -108,50 +108,50 @@ mod tests {
                 }
                 *handles.lock().unwrap() = Some((q, alloc));
             },
-            |tx| {
+            async |tx| {
                 let (q, alloc) = handles.lock().unwrap().unwrap();
-                body(tx, &q, &alloc)
+                body(tx, &q, &alloc).await
             },
         );
     }
 
     #[test]
     fn fifo_order() {
-        with_queue(&[], |tx, q, alloc| {
-            assert!(q.is_empty(tx)?);
+        with_queue(&[], async |tx, q, alloc| {
+            assert!(q.is_empty(tx).await?);
             for v in [10u64, 20, 30] {
-                q.push(tx, alloc, v)?;
+                q.push(tx, alloc, v).await?;
             }
-            assert_eq!(q.len(tx)?, 3);
-            assert_eq!(q.pop(tx)?, Some(10));
-            assert_eq!(q.pop(tx)?, Some(20));
-            q.push(tx, alloc, 40)?;
-            assert_eq!(q.pop(tx)?, Some(30));
-            assert_eq!(q.pop(tx)?, Some(40));
-            assert_eq!(q.pop(tx)?, None);
-            assert!(q.is_empty(tx)?);
+            assert_eq!(q.len(tx).await?, 3);
+            assert_eq!(q.pop(tx).await?, Some(10));
+            assert_eq!(q.pop(tx).await?, Some(20));
+            q.push(tx, alloc, 40).await?;
+            assert_eq!(q.pop(tx).await?, Some(30));
+            assert_eq!(q.pop(tx).await?, Some(40));
+            assert_eq!(q.pop(tx).await?, None);
+            assert!(q.is_empty(tx).await?);
             Ok(())
         });
     }
 
     #[test]
     fn setup_seeding() {
-        with_queue(&[1, 2, 3], |tx, q, _| {
-            assert_eq!(q.pop(tx)?, Some(1));
-            assert_eq!(q.pop(tx)?, Some(2));
-            assert_eq!(q.pop(tx)?, Some(3));
-            assert_eq!(q.pop(tx)?, None);
+        with_queue(&[1, 2, 3], async |tx, q, _| {
+            assert_eq!(q.pop(tx).await?, Some(1));
+            assert_eq!(q.pop(tx).await?, Some(2));
+            assert_eq!(q.pop(tx).await?, Some(3));
+            assert_eq!(q.pop(tx).await?, None);
             Ok(())
         });
     }
 
     #[test]
     fn drain_and_refill() {
-        with_queue(&[5], |tx, q, alloc| {
-            assert_eq!(q.pop(tx)?, Some(5));
-            assert!(q.is_empty(tx)?);
-            q.push(tx, alloc, 6)?;
-            assert_eq!(q.pop(tx)?, Some(6));
+        with_queue(&[5], async |tx, q, alloc| {
+            assert_eq!(q.pop(tx).await?, Some(5));
+            assert!(q.is_empty(tx).await?);
+            q.push(tx, alloc, 6).await?;
+            assert_eq!(q.pop(tx).await?, Some(6));
             Ok(())
         });
     }

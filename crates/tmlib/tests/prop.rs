@@ -13,18 +13,15 @@ use std::sync::Mutex;
 use tmlib::{Heap, List, Queue, TMap, TmAlloc};
 
 /// Run a closure as one transaction on a 1-core simulated system.
-fn run_tx(
-    setup: impl FnMut(&mut SetupCtx) + Send + Sync,
-    body: impl Fn(&mut TxCtx) -> Result<(), Abort> + Send + Sync,
-) {
+fn run_tx(setup: impl FnMut(&mut SetupCtx), body: impl AsyncFn(&mut TxCtx) -> Result<(), Abort>) {
     struct P<S, F> {
         setup_fn: S,
         body: F,
     }
     impl<S, F> Program for P<S, F>
     where
-        S: FnMut(&mut SetupCtx) + Send + Sync,
-        F: Fn(&mut TxCtx) -> Result<(), Abort> + Send + Sync,
+        S: FnMut(&mut SetupCtx),
+        F: AsyncFn(&mut TxCtx) -> Result<(), Abort>,
     {
         fn name(&self) -> &str {
             "prop"
@@ -32,8 +29,8 @@ fn run_tx(
         fn setup(&mut self, s: &mut SetupCtx, _t: usize) {
             (self.setup_fn)(s);
         }
-        fn run(&self, ctx: &mut GuestCtx) {
-            ctx.critical(|tx| (self.body)(tx));
+        async fn run(&self, ctx: &mut GuestCtx) {
+            ctx.critical(async |tx| (self.body)(tx).await).await;
         }
     }
     let mut prog = P {
@@ -77,18 +74,18 @@ proptest! {
                 let m = TMap::setup(s);
                 *handles.lock().unwrap() = Some((m, alloc));
             },
-            |tx| {
+            async |tx| {
                 let (m, alloc) = handles.lock().unwrap().unwrap();
                 let mut out = Vec::new();
                 for op in &ops2 {
                     match *op {
                         MapOp::Insert(k, v) => {
-                            out.push(Some(m.insert(tx, &alloc, k, v)? as u64));
+                            out.push(Some(m.insert(tx, &alloc, k, v).await? as u64));
                         }
-                        MapOp::Remove(k) => out.push(m.remove(tx, k)?),
-                        MapOp::Find(k) => out.push(m.find(tx, k)?),
+                        MapOp::Remove(k) => out.push(m.remove(tx, k).await?),
+                        MapOp::Find(k) => out.push(m.find(tx, k).await?),
                         MapOp::Update(k, v) => {
-                            out.push(Some(m.update(tx, k, v)? as u64));
+                            out.push(Some(m.update(tx, k, v).await? as u64));
                         }
                     }
                 }
@@ -133,15 +130,15 @@ proptest! {
                 let q = Queue::setup(s);
                 *handles.lock().unwrap() = Some((q, alloc));
             },
-            |tx| {
+            async |tx| {
                 let (q, alloc) = handles.lock().unwrap().unwrap();
                 let mut out = Vec::new();
                 for op in &ops2 {
                     match op {
                         Some(v) => {
-                            q.push(tx, &alloc, *v as u64)?;
+                            q.push(tx, &alloc, *v as u64).await?;
                         }
-                        None => out.push(q.pop(tx)?),
+                        None => out.push(q.pop(tx).await?),
                     }
                 }
                 *results.lock().unwrap() = out;
@@ -168,13 +165,13 @@ proptest! {
             |s| {
                 *handles.lock().unwrap() = Some(Heap::setup(s, 128));
             },
-            |tx| {
+            async |tx| {
                 let h = handles.lock().unwrap().unwrap();
                 for &v in &vals {
-                    h.push(tx, v as u64)?;
+                    h.push(tx, v as u64).await?;
                 }
                 let mut out = Vec::new();
-                while let Some(v) = h.pop(tx)? {
+                while let Some(v) = h.pop(tx).await? {
                     out.push(v);
                 }
                 *results.lock().unwrap() = out;
@@ -197,12 +194,12 @@ proptest! {
                 let l = List::setup(s);
                 *handles.lock().unwrap() = Some((l, alloc));
             },
-            |tx| {
+            async |tx| {
                 let (l, alloc) = handles.lock().unwrap().unwrap();
                 for &k in &keys2 {
-                    l.insert(tx, &alloc, k, k * 2)?;
+                    l.insert(tx, &alloc, k, k * 2).await?;
                 }
-                *results.lock().unwrap() = l.to_vec(tx)?;
+                *results.lock().unwrap() = l.to_vec(tx).await?;
                 Ok(())
             },
         );

@@ -44,16 +44,17 @@ impl Program for Counter {
         self.addr = s.alloc(8);
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
+    async fn run(&self, ctx: &mut GuestCtx) {
         let addr = self.addr;
         for _ in 0..self.per_thread {
-            ctx.critical(|tx| {
-                let v = tx.load(addr)?;
-                tx.compute(20)?;
-                tx.store(addr, v + 1)?;
+            ctx.critical(async |tx| {
+                let v = tx.load(addr).await?;
+                tx.compute(20).await?;
+                tx.store(addr, v + 1).await?;
                 Ok(())
-            });
-            ctx.compute(30);
+            })
+            .await;
+            ctx.compute(30).await;
         }
     }
 

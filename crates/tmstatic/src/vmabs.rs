@@ -42,8 +42,8 @@ use guestvm::{BinOp, Cond, Instr, Kernel};
 use lockiller::{StaticIndependence, SystemKind};
 use sim_core::config::SystemConfig;
 use sim_core::types::{LineAddr, LINE_SHIFT, WORDS_PER_LINE};
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Cardinality cap on bounded stride intervals: joins that would exceed
@@ -1156,8 +1156,12 @@ fn cache() -> &'static Mutex<HashMap<CacheKey, Arc<KernelAbs>>> {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This thread's `(hits, misses)` of [`analyze_cached`]. Per thread,
+    /// so a caller's before/after difference counts only its own lookups
+    /// (the cache itself is shared by every thread).
+    static CACHE_COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
 
 /// [`analyze`] memoized on `(Kernel::content_hash, tid, threads)`.
 ///
@@ -1169,10 +1173,10 @@ static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
 pub fn analyze_cached(k: &Kernel, tid: usize, threads: usize) -> Arc<KernelAbs> {
     let key = (k.content_hash(), tid, threads);
     if let Some(hit) = cache().lock().unwrap().get(&key) {
-        CACHE_HITS.fetch_add(1, Ordering::Relaxed);
+        CACHE_COUNTS.with(|c| c.set((c.get().0 + 1, c.get().1)));
         return Arc::clone(hit);
     }
-    CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
+    CACHE_COUNTS.with(|c| c.set((c.get().0, c.get().1 + 1)));
     let abs = Arc::new(analyze(k, tid, threads));
     cache()
         .lock()
@@ -1182,12 +1186,9 @@ pub fn analyze_cached(k: &Kernel, tid: usize, threads: usize) -> Arc<KernelAbs> 
         .clone()
 }
 
-/// Process-lifetime `(hits, misses)` counters of [`analyze_cached`].
+/// The calling thread's `(hits, misses)` counters of [`analyze_cached`].
 pub fn cache_counters() -> (u64, u64) {
-    (
-        CACHE_HITS.load(Ordering::Relaxed),
-        CACHE_MISSES.load(Ordering::Relaxed),
-    )
+    CACHE_COUNTS.with(Cell::get)
 }
 
 // ---------------------------------------------------------------------

@@ -205,8 +205,8 @@ impl Program for KernelProg {
         }
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
-        run_on_ctx(&self.kernels[ctx.tid], ctx);
+    async fn run(&self, ctx: &mut GuestCtx) {
+        run_on_ctx(&self.kernels[ctx.tid], ctx).await;
     }
 
     fn guest_exec(&self, env: GuestEnv) -> Option<Box<dyn GuestExec + '_>> {

@@ -135,9 +135,8 @@ pub struct Explorer {
     pub prune: Option<StaticIndependence>,
     /// Guest execution core for every explored run. Both backends are
     /// bit-identical (same decisions, fingerprints, and report digest —
-    /// asserted by the differential tests); [`Backend::Vm`] avoids two
-    /// OS context switches per simulated guest op, which multiplies
-    /// across the thousands of runs an exploration executes.
+    /// asserted by the differential tests): [`Backend::Vm`] runs the
+    /// compiled kernels, [`Backend::Threads`] the spec's native body.
     pub backend: Backend,
     /// Enable host-side self-profiling (`tmprof`) on every explored run.
     /// The profiler only reads the host clock, so exploration results —

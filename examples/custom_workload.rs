@@ -1,6 +1,16 @@
 //! Writing your own guest program against the public API: a concurrent
 //! bank with transactional transfers, demonstrating the `Program` trait,
-//! the transactional closure style, and the post-run validation oracle.
+//! the async guest style, and the post-run validation oracle.
+//!
+//! `Program::run` is an `async fn`: every guest operation is a method on
+//! `GuestCtx` (outside critical sections) or `TxCtx` (inside) that you
+//! `.await`. The runner polls one such future per simulated thread,
+//! in-process and in lockstep with the engine, so the body is plain
+//! sequential Rust with no threads or locks of its own. A critical
+//! section is an async closure: an abort comes back as `Err` from a
+//! `TxCtx` op, `?` unwinds the body, and `critical` re-runs it or falls
+//! back to the lock (Listings 1 and 2 of the paper). Keep shared state
+//! in simulated memory, and re-derive host locals inside the closure.
 //!
 //! ```text
 //! cargo run --release --example custom_workload
@@ -35,7 +45,7 @@ impl Program for Bank {
         }
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
+    async fn run(&self, ctx: &mut GuestCtx) {
         for _ in 0..self.transfers_per_thread {
             let from = ctx.rng.below(self.accounts);
             let mut to = ctx.rng.below(self.accounts);
@@ -44,17 +54,20 @@ impl Program for Bank {
             }
             let amount = 1 + ctx.rng.below(10);
             let (fa, ta) = (self.base.add(from * 8), self.base.add(to * 8));
-            ctx.critical(|tx| {
-                let f = tx.load(fa)?;
+            // May run several times: once per speculative attempt, then
+            // once more under the lock if every attempt aborts.
+            ctx.critical(async |tx| {
+                let f = tx.load(fa).await?;
                 if f >= amount {
-                    tx.store(fa, f - amount)?;
-                    let t = tx.load(ta)?;
-                    tx.store(ta, t + amount)?;
+                    tx.store(fa, f - amount).await?;
+                    let t = tx.load(ta).await?;
+                    tx.store(ta, t + amount).await?;
                 }
-                tx.compute(15)?; // fee computation, logging, ...
+                tx.compute(15).await?; // fee computation, logging, ...
                 Ok(())
-            });
-            ctx.compute(25);
+            })
+            .await;
+            ctx.compute(25).await;
         }
     }
 

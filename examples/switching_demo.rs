@@ -30,19 +30,20 @@ impl Program for BigScan {
         self.base = s.alloc(self.lines * 8);
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
+    async fn run(&self, ctx: &mut GuestCtx) {
         for _ in 0..self.rounds {
             let base = self.base;
             let lines = self.lines;
-            ctx.critical(|tx| {
+            ctx.critical(async |tx| {
                 for i in 0..lines {
                     let a = base.add(i * 8);
-                    let v = tx.load(a)?;
-                    tx.store(a, v + 1)?;
+                    let v = tx.load(a).await?;
+                    tx.store(a, v + 1).await?;
                 }
                 Ok(())
-            });
-            ctx.compute(100);
+            })
+            .await;
+            ctx.compute(100).await;
         }
     }
 

@@ -44,20 +44,21 @@ impl Program for RandomProgram {
         }
     }
 
-    fn run(&self, ctx: &mut GuestCtx) {
+    async fn run(&self, ctx: &mut GuestCtx) {
         for crit in &self.scripts[ctx.tid] {
             let base = self.base;
             let ncells = self.ncells;
-            ctx.critical(|tx| {
+            ctx.critical(async |tx| {
                 for &c in &crit.cells {
                     let a = base.add((c as u64 % ncells) * 8);
-                    let v = tx.load(a)?;
-                    tx.compute(crit.work as u64)?;
-                    tx.store(a, v + crit.delta)?;
+                    let v = tx.load(a).await?;
+                    tx.compute(crit.work as u64).await?;
+                    tx.store(a, v + crit.delta).await?;
                 }
                 Ok(())
-            });
-            ctx.compute(10);
+            })
+            .await;
+            ctx.compute(10).await;
         }
     }
 
