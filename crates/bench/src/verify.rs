@@ -9,10 +9,9 @@
 //!
 //! Each row also records `pruned_schedules` / `pruned_digest`: the
 //! result of a second exploration with the `tmstatic` independence
-//! table installed (for `--backend vm` rows the table comes from the
-//! bytecode abstract interpreter over the explorer's own compiled
-//! kernels; for thread rows from the spec-level analysis) — equal to
-//! the baseline when the premises don't hold. The battery asserts:
+//! table installed (from the bytecode abstract interpreter over the
+//! explorer's own compiled kernels, for either backend) — equal to the
+//! baseline when the premises don't hold. The battery asserts:
 //!
 //! - the pruned run reproduces the baseline verdict and never adds
 //!   schedules, strictly reducing them on both `disjoint-3c3l-tm` rows;
@@ -147,17 +146,9 @@ pub fn run(quick: bool, jobs: usize, path: &Path) -> std::io::Result<()> {
             }
         }
 
-        // Re-explore with the independence table matched to the
-        // backend's source of truth: bytecode for vm rows, spec DSL
-        // otherwise.
-        let table = match e.backend {
-            Backend::Vm => {
-                tmstatic::VmAnalysis::new(e.system, ex.config(), &ex.kernels()).independence()
-            }
-            Backend::Threads => {
-                tmstatic::Analysis::new(e.system, ex.spec.clone(), ex.config()).independence()
-            }
-        };
+        // Re-explore with the independence table of the explorer's own
+        // compiled kernels (both backends run the same ops).
+        let table = tmstatic::VmAnalysis::new(e.system, ex.config(), &ex.kernels()).independence();
         let prunable = table
             .as_ref()
             .is_some_and(lockiller::StaticIndependence::can_refine_any);

@@ -319,10 +319,13 @@ impl SystemConfig {
             .expect("large-cache preset is valid")
     }
 
+    /// Most cores the [`SystemConfig::testing`] preset builds.
+    pub const TESTING_MAX_CORES: usize = 32;
+
     /// A scaled-down configuration for fast unit/integration tests:
     /// fewer cores and small caches, same protocol behaviour.
     pub fn testing(num_cores: usize) -> SystemConfig {
-        assert!((1..=32).contains(&num_cores));
+        assert!((1..=Self::TESTING_MAX_CORES).contains(&num_cores));
         SystemConfig::builder()
             .num_cores(num_cores)
             .fit_mesh()

@@ -1,395 +1,59 @@
-//! The analysis lattice: per-segment line-sets → per-thread footprints
-//! → whole-program may-conflict relation → purity → independence table.
+//! The spec front end of the analysis: a [`ProgSpec`] compiled to the
+//! kernels `tmverify` executes and run through the one lattice,
+//! [`VmAnalysis`].
 //!
-//! Everything here is computed from three inputs — the [`SystemKind`]
-//! (which concurrency-control policy runs the critical sections), the
-//! [`ProgSpec`] (who touches which spec line, and how), and the
-//! [`SystemConfig`] (cache geometry, from which capacity and bank
-//! placement follow). All facts are conservative over-approximations of
-//! what any schedule can exhibit; the soundness tests check the dynamic
-//! [`ConflictEdge`](sim_core::obs::ConflictEdge)s of real runs against
-//! [`Analysis::may_conflict`].
+//! Everything is computed from three inputs — the [`SystemKind`] (which
+//! concurrency-control policy runs the critical sections), the
+//! [`ProgSpec`] (compiled by [`SpecProgram::compile_all`], the same
+//! kernels `Explorer::kernels()` returns), and the [`SystemConfig`]
+//! (cache geometry, from which capacity and bank placement follow). The
+//! spec itself is kept so the spec-mode lints can report spec positions.
 //!
 //! # Physical layout
 //!
-//! The analysis reasons about *physical* cache lines using the fixed
-//! `Runner` arena layout re-exported by
-//! [`SpecProgram::LOCK_LINE`]/[`SpecProgram::data_line`]: the fallback
+//! Compiled kernels address the fixed `Runner` arena layout re-exported
+//! by [`SpecProgram::LOCK_LINE`]/[`SpecProgram::data_line`]: the fallback
 //! lock lives on `LineAddr(1)` and spec line `i` on `LineAddr(2 + i)`.
 
+use crate::vmabs::{AbsLines, VmAnalysis};
 use lockiller::StaticIndependence;
 use lockiller::SystemKind;
 use sim_core::config::SystemConfig;
-use sim_core::types::LineAddr;
-use std::collections::{BTreeMap, BTreeSet};
-use tmverify::progs::{Op, ProgSpec, SpecProgram};
-
-/// Read/write spec-line sets of one segment.
-#[derive(Clone, Debug)]
-pub struct SegFootprint {
-    pub critical: bool,
-    /// Spec lines loaded.
-    pub reads: BTreeSet<u64>,
-    /// Spec lines stored.
-    pub writes: BTreeSet<u64>,
-}
-
-impl SegFootprint {
-    /// Distinct spec lines touched (read or written).
-    pub fn lines(&self) -> BTreeSet<u64> {
-        self.reads.union(&self.writes).copied().collect()
-    }
-}
-
-/// Everything the analysis derived about one thread.
-#[derive(Clone, Debug)]
-pub struct ThreadFacts {
-    /// Per-segment footprints, in program order.
-    pub segs: Vec<SegFootprint>,
-    /// Union of critical-segment reads / writes (spec lines).
-    pub crit_reads: BTreeSet<u64>,
-    pub crit_writes: BTreeSet<u64>,
-    /// Union of plain-segment reads / writes (spec lines).
-    pub plain_reads: BTreeSet<u64>,
-    pub plain_writes: BTreeSet<u64>,
-    /// The thread has at least one critical segment (even an empty or
-    /// compute-only one enters the concurrency-control machinery).
-    pub has_critical: bool,
-    /// Some critical segment's static footprint cannot fit the
-    /// speculative buffer (more distinct lines in one L1 set than its
-    /// associativity): every HTM attempt of that segment must overflow.
-    pub overflow: bool,
-    /// Some HTM attempt by this thread can abort (capacity overflow,
-    /// data conflict on its transactional lines, or — on
-    /// lock-subscribing systems — observing a taken fallback lock).
-    pub tx_abort: bool,
-    /// Some request by this thread can be rejected, so the thread can
-    /// park / retry / self-abort under the recovery mechanism.
-    pub parks: bool,
-    /// The thread can reach the software fallback lock (or holds the
-    /// CGL lock for its critical sections).
-    pub fallback: bool,
-    /// The thread can read / write the physical lock line.
-    pub lock_read: bool,
-    pub lock_write: bool,
-    /// Statically *pure*: never aborts, never parks, never touches the
-    /// lock-write path, HLA arbiter, or overflow signatures. Pure cores
-    /// are the refinement targets of [`Analysis::independence`].
-    pub pure: bool,
-}
+use std::collections::BTreeSet;
+use tmverify::progs::{ProgSpec, SpecProgram};
 
 /// Whole-program static analysis over one `(system, spec, config)`.
 pub struct Analysis {
-    pub system: SystemKind,
     pub spec: ProgSpec,
-    pub cfg: SystemConfig,
-    pub threads: Vec<ThreadFacts>,
+    /// The lattice over the spec's compiled kernels, one per thread.
+    pub vm: VmAnalysis,
 }
 
 impl Analysis {
     pub fn new(system: SystemKind, spec: ProgSpec, cfg: SystemConfig) -> Analysis {
-        let policy = system.policy();
-        let htm = system.uses_htm();
-        // Lock subscription: every HTM attempt transactionally loads the
-        // lock line unless HTMLock removes the subscription.
-        let subscribes = htm && !policy.htmlock;
-
-        // Layer 1: per-segment and per-thread line sets.
-        let mut threads: Vec<ThreadFacts> = spec
-            .threads
-            .iter()
-            .map(|segs| {
-                let segs: Vec<SegFootprint> = segs
-                    .iter()
-                    .map(|seg| {
-                        let mut f = SegFootprint {
-                            critical: seg.critical,
-                            reads: BTreeSet::new(),
-                            writes: BTreeSet::new(),
-                        };
-                        for op in &seg.ops {
-                            match *op {
-                                Op::Load(l) => {
-                                    f.reads.insert(l);
-                                }
-                                Op::Store(l) => {
-                                    f.writes.insert(l);
-                                }
-                                Op::Compute(_) => {}
-                            }
-                        }
-                        f
-                    })
-                    .collect();
-                let mut t = ThreadFacts {
-                    crit_reads: BTreeSet::new(),
-                    crit_writes: BTreeSet::new(),
-                    plain_reads: BTreeSet::new(),
-                    plain_writes: BTreeSet::new(),
-                    has_critical: segs.iter().any(|s| s.critical),
-                    segs,
-                    overflow: false,
-                    tx_abort: false,
-                    parks: false,
-                    fallback: false,
-                    lock_read: false,
-                    lock_write: false,
-                    pure: false,
-                };
-                for s in &t.segs {
-                    if s.critical {
-                        t.crit_reads.extend(&s.reads);
-                        t.crit_writes.extend(&s.writes);
-                    } else {
-                        t.plain_reads.extend(&s.reads);
-                        t.plain_writes.extend(&s.writes);
-                    }
-                }
-                t
-            })
-            .collect();
-
-        // Layer 2: capacity. A critical segment overflows when more
-        // distinct physical lines (its data lines, plus the subscribed
-        // lock line) map to one L1 set than the set has ways.
-        for t in &mut threads {
-            t.overflow = htm
-                && t.segs.iter().any(|s| {
-                    if !s.critical {
-                        return false;
-                    }
-                    let mut phys: BTreeSet<LineAddr> = s
-                        .lines()
-                        .iter()
-                        .map(|&l| SpecProgram::data_line(l))
-                        .collect();
-                    if subscribes {
-                        phys.insert(SpecProgram::LOCK_LINE);
-                    }
-                    let mut per_set: BTreeMap<usize, usize> = BTreeMap::new();
-                    for line in phys {
-                        *per_set.entry(cfg.l1_set_of(line)).or_default() += 1;
-                    }
-                    per_set.values().any(|&n| n > cfg.speculative_ways())
-                });
-        }
-
-        // Layer 3: abort sources and parking, from pairwise conflicts.
-        let n = threads.len();
-        for t in 0..n {
-            let crit_conflict = (0..n).any(|u| u != t && crit_conflict(&threads, t, u));
-            let any_conflict = (0..n).any(|u| u != t && data_conflict(&threads, t, u));
-            let me = &mut threads[t];
-            me.tx_abort = me.has_critical && htm && (me.overflow || crit_conflict);
-            me.parks = any_conflict;
-        }
-
-        // Layer 4: fallback-lock reachability. An aborting thread burns
-        // its retry budget and falls back. On lock-subscribing systems
-        // the taken lock then aborts *every* concurrent HTM attempt
-        // (LockTaken), so one reachable fallback makes the whole
-        // critical population fallback-reachable.
-        for t in &mut threads {
-            t.fallback = t.tx_abort;
-        }
-        if subscribes && threads.iter().any(|t| t.fallback) {
-            for t in &mut threads {
-                if t.has_critical {
-                    t.fallback = true;
-                    t.tx_abort = true;
-                }
-            }
-        }
-
-        // Layer 5: lock-line footprint and purity.
-        for t in &mut threads {
-            if policy.coarse_grained_lock {
-                t.lock_read = t.has_critical;
-                t.lock_write = t.has_critical;
-            } else if subscribes {
-                t.lock_read = t.has_critical;
-                t.lock_write = t.fallback;
-            } else {
-                // HTMLock: no subscription; only fallback takers touch it.
-                t.lock_read = t.fallback;
-                t.lock_write = t.fallback;
-            }
-            let cgl_critical = policy.coarse_grained_lock && t.has_critical;
-            t.pure = !cgl_critical && !t.tx_abort && !t.parks && !t.fallback && !t.lock_write;
-        }
-
-        Analysis {
-            system,
-            spec,
-            cfg,
-            threads,
-        }
+        let vm = VmAnalysis::new(system, cfg, &SpecProgram::compile_all(&spec));
+        Analysis { spec, vm }
     }
 
-    /// All spec lines thread `t` can touch, plain or critical.
-    pub fn touched(&self, t: usize) -> BTreeSet<u64> {
-        let f = &self.threads[t];
-        let mut out = f.crit_reads.clone();
-        out.extend(&f.crit_writes);
-        out.extend(&f.plain_reads);
-        out.extend(&f.plain_writes);
-        out
-    }
-
-    fn writes(&self, t: usize, l: u64) -> bool {
-        self.threads[t].crit_writes.contains(&l) || self.threads[t].plain_writes.contains(&l)
-    }
-
-    fn touches(&self, t: usize, l: u64) -> bool {
-        self.writes(t, l)
-            || self.threads[t].crit_reads.contains(&l)
-            || self.threads[t].plain_reads.contains(&l)
-    }
-
-    /// The whole-program may-conflict relation over *physical* lines:
-    /// true when cores `a` and `b` can dynamically produce a
-    /// [`ConflictEdge`](sim_core::obs::ConflictEdge) on `line` in some
-    /// schedule. Over-approximates: covers data conflicts (one side
-    /// writes, the other touches), lock-line traffic (subscription
-    /// loads vs. fallback/CGL lock writes), and Bloom-signature false
-    /// positives of switchingMode (an overflowing thread's signature
-    /// can falsely match *any* line another thread requests).
-    pub fn may_conflict(&self, a: usize, b: usize, line: LineAddr) -> bool {
-        let n = self.threads.len();
-        if a >= n || b >= n {
-            return false;
-        }
-        if a == b {
-            return true;
-        }
-        if line == SpecProgram::LOCK_LINE {
-            let (fa, fb) = (&self.threads[a], &self.threads[b]);
-            return (fa.lock_read || fa.lock_write)
-                && (fb.lock_read || fb.lock_write)
-                && (fa.lock_write || fb.lock_write);
-        }
-        let Some(l) = line.0.checked_sub(2).filter(|&l| l < self.spec.lines) else {
-            return false;
-        };
-        let data =
-            (self.writes(a, l) && self.touches(b, l)) || (self.touches(a, l) && self.writes(b, l));
-        let sig = |x: usize, y: usize| {
-            self.system.policy().switching_mode && self.threads[x].overflow && self.touches(y, l)
-        };
-        data || sig(a, b) || sig(b, a)
-    }
-
-    /// Physical lines thread `t` can touch, including the lock line
-    /// when its policy-dependent footprint is reachable.
-    pub fn phys_lines(&self, t: usize) -> BTreeSet<LineAddr> {
-        let mut out: BTreeSet<LineAddr> = self
-            .touched(t)
-            .iter()
-            .map(|&l| SpecProgram::data_line(l))
-            .collect();
-        if self.threads[t].lock_read || self.threads[t].lock_write {
-            out.insert(SpecProgram::LOCK_LINE);
-        }
-        out
-    }
-
-    /// Some LLC set can be asked to hold more program lines than its
-    /// associativity, so a tag eviction — and with it an observable LRU
-    /// ordering effect — is possible.
-    pub fn llc_eviction_possible(&self) -> bool {
-        // Count the lock line unconditionally: cheap, and immune to an
-        // under-approximated lock footprint.
-        let mut lines: BTreeSet<LineAddr> = [SpecProgram::LOCK_LINE].into();
-        for t in 0..self.threads.len() {
-            lines.extend(self.phys_lines(t));
-        }
-        let mut per_set: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-        for line in lines {
-            let key = (self.cfg.bank_of(line), self.cfg.llc_set_of(line));
-            *per_set.entry(key).or_default() += 1;
-        }
-        per_set.values().any(|&n| n > self.cfg.mem.llc_bank.ways)
-    }
-
-    /// Construct the DPOR pruning table, or `None` when the soundness
-    /// premises cannot be proven for the whole program:
-    ///
-    /// - **No capacity overflow anywhere** — otherwise overflow
-    ///   signatures are populated and consulted by every HTM request
-    ///   (with Bloom false positives against arbitrary lines), and
-    ///   switchingMode engages.
-    /// - **No LLC eviction possible** — otherwise tag-LRU state couples
-    ///   same-bank events beyond the per-line directory.
-    ///
-    /// Under those premises the returned table's `bank_foot` covers
-    /// every line each core can touch (including the conditionally
-    /// reachable lock) and `pure` marks cores that provably never
-    /// abort, park, lock, or touch HLA/signature state.
+    /// The DPOR pruning table of the compiled kernels
+    /// ([`VmAnalysis::independence`]).
     pub fn independence(&self) -> Option<StaticIndependence> {
-        if self.threads.iter().any(|t| t.overflow) {
-            return None;
-        }
-        if self.llc_eviction_possible() {
-            return None;
-        }
-        let cores = self.cfg.num_cores;
-        if cores > 64 {
-            return None;
-        }
-        let mut bank_foot = vec![0u64; cores];
-        let mut pure = 0u64;
-        for (c, foot) in bank_foot.iter_mut().enumerate() {
-            if let Some(f) = self.threads.get(c) {
-                for line in self.phys_lines(c) {
-                    *foot |= 1 << self.cfg.bank_of(line);
-                }
-                if f.pure {
-                    pure |= 1 << c;
-                }
-            } else {
-                // Cores beyond the spec's threads run no guest at all.
-                pure |= 1 << c;
-            }
-        }
-        Some(StaticIndependence { bank_foot, pure })
+        self.vm.independence()
     }
-}
 
-/// A conflict touching `t`'s *transactional* lines (what can abort
-/// `t`'s HTM attempts): `t` writes a line `u` touches, or `u` writes a
-/// line `t` touches transactionally.
-fn crit_conflict(threads: &[ThreadFacts], t: usize, u: usize) -> bool {
-    let (ft, fu) = (&threads[t], &threads[u]);
-    let u_writes: BTreeSet<u64> = fu.crit_writes.union(&fu.plain_writes).copied().collect();
-    let u_touches: BTreeSet<u64> = u_writes
-        .union(&fu.crit_reads.union(&fu.plain_reads).copied().collect())
-        .copied()
-        .collect();
-    ft.crit_writes.iter().any(|l| u_touches.contains(l))
-        || ft.crit_reads.iter().any(|l| u_writes.contains(l))
-}
-
-/// Any access of `t` conflicting with any access of `u` (what can get a
-/// request of `t` rejected, hence parked, by the recovery mechanism).
-fn data_conflict(threads: &[ThreadFacts], t: usize, u: usize) -> bool {
-    let (ft, fu) = (&threads[t], &threads[u]);
-    let writes = |f: &ThreadFacts| -> BTreeSet<u64> {
-        f.crit_writes.union(&f.plain_writes).copied().collect()
-    };
-    let touches = |f: &ThreadFacts| -> BTreeSet<u64> {
-        let mut out = writes(f);
-        out.extend(&f.crit_reads);
-        out.extend(&f.plain_reads);
-        out
-    };
-    let (wt, tt) = (writes(ft), touches(ft));
-    let (wu, tu) = (writes(fu), touches(fu));
-    wt.iter().any(|l| tu.contains(l)) || tt.iter().any(|l| wu.contains(l))
+    /// The spec lines whose physical line ([`SpecProgram::data_line`])
+    /// is in `set`.
+    pub fn spec_lines(&self, set: &AbsLines) -> BTreeSet<u64> {
+        (0..self.spec.lines)
+            .filter(|&l| set.contains(SpecProgram::data_line(l)))
+            .collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_core::types::LineAddr;
 
     fn analyze(system: SystemKind, spec: &str) -> Analysis {
         let spec = ProgSpec::parse(spec).expect("test specs are valid");
@@ -397,10 +61,17 @@ mod tests {
         Analysis::new(system, spec, cfg)
     }
 
+    fn analyze_tiny(system: SystemKind, spec: &str) -> Analysis {
+        let spec = ProgSpec::parse(spec).expect("test specs are valid");
+        let mut ex = tmverify::Explorer::new(system, spec.clone());
+        ex.tiny_l1 = true;
+        Analysis::new(system, spec, ex.config())
+    }
+
     #[test]
     fn disjoint_htmlock_threads_are_pure_with_disjoint_banks() {
         let a = analyze(SystemKind::LockillerTm, "3/c:L0,S0/c:L1,S1/c:L2,S2");
-        assert!(a.threads.iter().all(|t| t.pure && !t.lock_read));
+        assert!(a.vm.threads.iter().all(|t| t.pure && !t.lock_read));
         let table = a.independence().expect("premises hold");
         assert_eq!(table.pure, 0b111);
         // Lines 0,1,2 -> LineAddr 2,3,4 -> banks 2,0,1 (3 banks).
@@ -412,10 +83,14 @@ mod tests {
     #[test]
     fn conflict_ring_has_no_pure_cores() {
         let a = analyze(SystemKind::LockillerRwi, "2/c:L0,S1/c:L1,S0");
-        assert!(a.threads.iter().all(|t| t.tx_abort && t.parks && !t.pure));
+        assert!(a
+            .vm
+            .threads
+            .iter()
+            .all(|t| t.tx_abort && t.parks && !t.pure));
         // Subscribing system with reachable aborts: everyone can take
         // the fallback lock.
-        assert!(a.threads.iter().all(|t| t.lock_read && t.lock_write));
+        assert!(a.vm.threads.iter().all(|t| t.lock_read && t.lock_write));
         let table = a.independence().expect("no overflow, no eviction");
         assert_eq!(table.pure, 0, "nothing to refine on the ring");
     }
@@ -425,8 +100,8 @@ mod tests {
         // Disjoint threads on a subscribing (non-HTMLock) system: the
         // subscription load is reachable, the fallback write is not.
         let a = analyze(SystemKind::LockillerRwi, "2/c:L0,S0/c:L1,S1");
-        assert!(a.threads.iter().all(|t| t.lock_read && !t.lock_write));
-        assert!(a.threads.iter().all(|t| t.pure));
+        assert!(a.vm.threads.iter().all(|t| t.lock_read && !t.lock_write));
+        assert!(a.vm.threads.iter().all(|t| t.pure));
         let table = a.independence().expect("premises hold");
         // Both footprints contain the lock line's bank, so critical
         // threads can never be refined against each other.
@@ -435,58 +110,62 @@ mod tests {
 
     #[test]
     fn overflow_blocks_the_table_and_is_attributed() {
-        let spec = ProgSpec::parse("6/c:L0,L1,L2,S0/c:L3,L4,L5,S3").unwrap();
-        let mut ex = tmverify::Explorer::new(SystemKind::LockillerTm, spec.clone());
-        ex.tiny_l1 = true;
-        let a = Analysis::new(SystemKind::LockillerTm, spec.clone(), ex.config());
-        assert!(a.threads.iter().all(|t| t.overflow));
+        let spec = "6/c:L0,L1,L2,S0/c:L3,L4,L5,S3";
+        let a = analyze_tiny(SystemKind::LockillerTm, spec);
+        assert!(a.vm.threads.iter().all(|t| t.overflow));
         assert!(a.independence().is_none(), "overflow voids the premises");
         // The same kernel under the full-size L1 does not overflow.
-        let ex = tmverify::Explorer::new(SystemKind::LockillerTm, spec.clone());
-        let a = Analysis::new(SystemKind::LockillerTm, spec, ex.config());
-        assert!(a.threads.iter().all(|t| !t.overflow));
+        let a = analyze(SystemKind::LockillerTm, spec);
+        assert!(a.vm.threads.iter().all(|t| !t.overflow));
     }
 
     #[test]
     fn may_conflict_covers_lock_data_and_signatures() {
         let a = analyze(SystemKind::LockillerRwi, "2/c:L0,S1/c:L1,S0");
         // Data: both write each other's read lines.
-        assert!(a.may_conflict(0, 1, SpecProgram::data_line(0)));
-        assert!(a.may_conflict(0, 1, SpecProgram::data_line(1)));
+        assert!(a.vm.may_conflict(0, 1, SpecProgram::data_line(0)));
+        assert!(a.vm.may_conflict(0, 1, SpecProgram::data_line(1)));
         // Lock: both can fall back.
-        assert!(a.may_conflict(0, 1, SpecProgram::LOCK_LINE));
+        assert!(a.vm.may_conflict(0, 1, SpecProgram::LOCK_LINE));
         // Out-of-arena lines are never predicted.
-        assert!(!a.may_conflict(0, 1, LineAddr(0)));
-        assert!(!a.may_conflict(0, 1, LineAddr(99)));
+        assert!(!a.vm.may_conflict(0, 1, LineAddr(0)));
+        assert!(!a.vm.may_conflict(0, 1, LineAddr(99)));
 
         // Disjoint kernels predict no data conflicts...
         let d = analyze(SystemKind::LockillerTm, "2/c:L0,S0/c:L1,S1");
-        assert!(!d.may_conflict(0, 1, SpecProgram::data_line(0)));
-        assert!(!d.may_conflict(0, 1, SpecProgram::LOCK_LINE));
+        assert!(!d.vm.may_conflict(0, 1, SpecProgram::data_line(0)));
+        assert!(!d.vm.may_conflict(0, 1, SpecProgram::LOCK_LINE));
 
         // ...unless signatures can false-positive: an overflowing
         // switchingMode thread may conflict on any line the peer touches.
-        let spec = ProgSpec::parse("6/c:L0,L1,L2,S0/c:L3,L4,L5,S3").unwrap();
-        let mut ex = tmverify::Explorer::new(SystemKind::LockillerTm, spec.clone());
-        ex.tiny_l1 = true;
-        let s = Analysis::new(SystemKind::LockillerTm, spec, ex.config());
-        assert!(s.may_conflict(0, 1, SpecProgram::data_line(4)));
-        assert!(s.may_conflict(1, 0, SpecProgram::data_line(0)));
+        let s = analyze_tiny(SystemKind::LockillerTm, "6/c:L0,L1,L2,S0/c:L3,L4,L5,S3");
+        assert!(s.vm.may_conflict(0, 1, SpecProgram::data_line(4)));
+        assert!(s.vm.may_conflict(1, 0, SpecProgram::data_line(0)));
     }
 
     #[test]
     fn cgl_critical_threads_are_impure_lock_writers() {
         let a = analyze(SystemKind::Cgl, "2/c:L0,S0/p:L1");
-        assert!(a.threads[0].lock_write && !a.threads[0].pure);
-        assert!(!a.threads[1].lock_read && a.threads[1].pure);
-        assert!(a.threads[0].segs[0].critical);
-        assert!(!a.threads[0].overflow, "CGL never runs HTM");
+        let t = &a.vm.threads;
+        assert!(t[0].has_critical && t[0].lock_write && !t[0].pure);
+        assert!(!t[1].lock_read && t[1].pure);
+        assert!(!t[0].overflow, "CGL never runs HTM");
     }
 
     #[test]
     fn llc_eviction_check_counts_sets() {
         // The testing LLC is far larger than any small kernel arena.
         let a = analyze(SystemKind::LockillerRwi, "8/c:L0,S7/c:L3,S4");
-        assert!(!a.llc_eviction_possible());
+        assert_eq!(a.vm.llc_eviction_possible(), Some(false));
+    }
+
+    #[test]
+    fn spec_lines_invert_the_arena_layout() {
+        let a = analyze(SystemKind::LockillerTm, "8/c:L0,S7/p:L3,S4");
+        let f = &a.vm.threads;
+        assert_eq!(a.spec_lines(&f[0].abs.crit_reads), [0].into());
+        assert_eq!(a.spec_lines(&f[0].abs.crit_writes), [7].into());
+        assert_eq!(a.spec_lines(&f[1].abs.touched()), [3, 4].into());
+        assert_eq!(a.spec_lines(&AbsLines::Top).len(), 8);
     }
 }

@@ -7,19 +7,20 @@
 //!        [--system NAME] [--tiny-l1] [--json] [--baseline FILE] [--table]
 //! ```
 //!
-//! The default mode analyzes the spec DSL directly (`tmstatic::lint`).
-//! The `kernel` mode compiles to guest bytecode first and runs the
-//! abstract interpreter (`tmstatic::vmabs`) over what `tmverify
-//! --backend vm` would actually execute — `--prog` compiles the spec
-//! under the standard runner arena layout, `--stamp` takes a STAMP VM
-//! workload by name (`kmeans`, `kmeans-low`, `intruder-flow`). Both
-//! modes share the simulator geometry `tmverify` explores (`--tiny-l1`
-//! matches the explorer's shrunk L1), the stable one-JSON-object-per-
-//! line schema, and the `--baseline` diff protocol; in kernel mode the
-//! position fields are (thread, critical-region ordinal, instruction
-//! pc) and `lines` are physical line numbers (see `tmstatic::vmlint`).
+//! Both modes run the same analysis: the kernels `tmverify` executes
+//! (the spec compiled under the standard runner arena layout) through
+//! the abstract interpreter (`tmstatic::vmabs`). They differ in what
+//! they report against. The default mode reports spec positions
+//! (`tmstatic::lint`): (thread, segment, op) and spec line indices. The
+//! `kernel` mode reports kernel positions (`tmstatic::vmlint`):
+//! (thread, critical-region ordinal, instruction pc) and physical line
+//! numbers; besides `--prog` it takes a STAMP VM workload by name
+//! (`--stamp kmeans|kmeans-low|intruder-flow`, `--threads N` of them).
+//! Both modes share the simulator geometry `tmverify` explores
+//! (`--tiny-l1` matches the explorer's shrunk L1), the stable
+//! one-JSON-object-per-line schema, and the `--baseline` diff protocol.
 //! `--table` reports the DPOR pruning table the analysis would hand the
-//! explorer.
+//! explorer; for a spec both modes report the same table.
 //!
 //! `--baseline FILE` compares against a checked-in baseline (the
 //! `--json` output of a blessed run): only diagnostics *not* present in
@@ -27,7 +28,8 @@
 //! re-litigating known ones.
 //!
 //! Exit codes: 0 no (new) error-severity diagnostics, 1 at least one
-//! (new) error, 2 bad usage or unreadable input.
+//! (new) error, 2 bad usage, unreadable input, or more simulated
+//! threads than the explorer's geometry supports.
 
 use lockiller::SystemKind;
 use tmstatic::{lint, lint_kernels, Analysis, Diag, Severity, VmAnalysis};
@@ -174,31 +176,37 @@ fn print_table(t: Option<lockiller::StaticIndependence>) {
     }
 }
 
-/// Explorer-identical geometry for `threads` simulated threads.
+/// Explorer-identical geometry for `threads` simulated threads; exits 2
+/// when they do not fit it.
 fn geometry(threads: usize, tiny_l1: bool) -> sim_core::config::SystemConfig {
-    // Reuse Explorer::config so kernel mode can never drift from what
-    // `tmverify --backend vm` simulates; the spec itself is irrelevant
-    // beyond its thread count.
+    if let Err(e) = tmverify::dpor::check_threads(threads) {
+        eprintln!("tmlint: {e}");
+        std::process::exit(2);
+    }
+    // Reuse Explorer::config so neither mode can drift from what
+    // `tmverify` simulates; the spec itself is irrelevant beyond its
+    // thread count.
     let mut ex = Explorer::new(
         SystemKind::LockillerRwi,
-        ProgSpec::parse(&format!("{threads}/p:C1")).expect("trivial spec"),
+        ProgSpec::parse(&format!("1{}", "/p:C1".repeat(threads))).expect("trivial spec"),
     );
     ex.tiny_l1 = tiny_l1;
     ex.config()
 }
 
+fn parse_spec(prog: &str) -> ProgSpec {
+    ProgSpec::parse(prog).unwrap_or_else(|e| {
+        eprintln!("tmlint: {e}");
+        std::process::exit(2);
+    })
+}
+
 fn main() {
     let o = parse_args();
-    if o.kernel_mode {
+    let (diags, table, subject) = if o.kernel_mode {
         let (kernels, subject) = match (&o.prog, &o.stamp) {
             (Some(p), None) => {
-                let spec = match ProgSpec::parse(p) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("tmlint: {e}");
-                        std::process::exit(2);
-                    }
-                };
+                let spec = parse_spec(p);
                 let subject = format!("kernels of {}", spec.render());
                 (tmverify::progs::SpecProgram::compile_all(&spec), subject)
             }
@@ -224,34 +232,21 @@ fn main() {
                 usage();
             }
         };
-        let cfg = geometry(kernels.len(), o.tiny_l1);
-        let a = VmAnalysis::new(o.system, cfg, &kernels);
-        let diags = lint_kernels(&a);
-        let code = report(&diags, &o, &subject);
-        if o.table {
-            print_table(a.independence());
-        }
-        std::process::exit(code);
-    }
-
-    let Some(prog) = o.prog.clone() else {
-        eprintln!("tmlint: --prog is required");
-        usage();
+        let a = VmAnalysis::new(o.system, geometry(kernels.len(), o.tiny_l1), &kernels);
+        (lint_kernels(&a), a.independence(), subject)
+    } else {
+        let Some(prog) = &o.prog else {
+            eprintln!("tmlint: --prog is required");
+            usage();
+        };
+        let spec = parse_spec(prog);
+        let cfg = geometry(spec.num_threads(), o.tiny_l1);
+        let a = Analysis::new(o.system, spec, cfg);
+        (lint(&a), a.independence(), a.spec.render())
     };
-    let spec = match ProgSpec::parse(&prog) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("tmlint: {e}");
-            std::process::exit(2);
-        }
-    };
-    let mut ex = Explorer::new(o.system, spec.clone());
-    ex.tiny_l1 = o.tiny_l1;
-    let analysis = Analysis::new(o.system, spec, ex.config());
-    let diags = lint(&analysis);
-    let code = report(&diags, &o, &analysis.spec.render());
+    let code = report(&diags, &o, &subject);
     if o.table {
-        print_table(analysis.independence());
+        print_table(table);
     }
     std::process::exit(code);
 }

@@ -1,4 +1,7 @@
-//! Lint rules over an [`Analysis`], with machine-readable diagnostics.
+//! Spec-mode lint rules over an [`Analysis`], with machine-readable
+//! diagnostics. Line facts come from the compiled kernels' lattice
+//! ([`VmAnalysis`](crate::VmAnalysis)), with spec line `l` on
+//! [`SpecProgram::data_line`]`(l)`; positions come from the spec.
 //!
 //! The JSON schema emitted by [`Diag::to_json`] is **stable** — CI
 //! baselines and downstream tooling depend on it (see the golden-file
@@ -14,8 +17,9 @@
 //! program-level diagnostics); `lines` are *spec* line indices.
 
 use crate::analysis::Analysis;
+use crate::vmabs::{overfull_l1_set, AbsLines};
 use std::collections::BTreeSet;
-use tmverify::progs::Op;
+use tmverify::progs::{Op, SpecProgram};
 
 /// Diagnostic severity, ordered.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -112,21 +116,18 @@ pub fn lint(a: &Analysis) -> Vec<Diag> {
 /// (a) Mixed-access race: a plain segment touches a line some critical
 /// segment on another thread writes — the HyTM fast/slow-path hazard.
 fn mixed_access_race(a: &Analysis, out: &mut Vec<Diag>) {
-    for (t, facts) in a.threads.iter().enumerate() {
-        for (s, seg) in facts.segs.iter().enumerate() {
-            if seg.critical {
-                continue;
-            }
-            for (k, op) in a.spec.threads[t][s].ops.iter().enumerate() {
+    for (t, segs) in a.spec.threads.iter().enumerate() {
+        for (s, seg) in segs.iter().enumerate().filter(|(_, seg)| !seg.critical) {
+            for (k, op) in seg.ops.iter().enumerate() {
                 let (l, verb) = match *op {
                     Op::Load(l) => (l, "load"),
                     Op::Store(l) => (l, "store"),
                     Op::Compute(_) => continue,
                 };
-                let writers: Vec<usize> = (0..a.threads.len())
-                    .filter(|&u| u != t && a.threads[u].crit_writes.contains(&l))
-                    .collect();
-                if let Some(&u) = writers.first() {
+                let line = SpecProgram::data_line(l);
+                let writer = (0..a.vm.threads.len())
+                    .find(|&u| u != t && a.vm.threads[u].abs.crit_writes.contains(line));
+                if let Some(u) = writer {
                     out.push(Diag {
                         rule: "mixed-access-race",
                         severity: Severity::Error,
@@ -148,33 +149,23 @@ fn mixed_access_race(a: &Analysis, out: &mut Vec<Diag>) {
 /// footprint cannot fit the speculative buffer, guaranteeing overflow
 /// (and, on switchingMode systems, signature spills).
 fn capacity_overflow(a: &Analysis, out: &mut Vec<Diag>) {
-    if !a.system.uses_htm() {
+    if !a.vm.system.uses_htm() {
         return;
     }
-    let ways = a.cfg.speculative_ways();
-    let budget = a.cfg.signature_line_budget();
-    for (t, facts) in a.threads.iter().enumerate() {
-        for (s, seg) in facts.segs.iter().enumerate() {
-            if !seg.critical {
+    let ways = a.vm.cfg.speculative_ways();
+    let budget = a.vm.cfg.signature_line_budget();
+    for (t, f) in a.vm.threads.iter().enumerate() {
+        // Critical region `j` of the kernel is the thread's `j`-th
+        // critical segment.
+        let crit_segs = a.spec.threads[t]
+            .iter()
+            .enumerate()
+            .filter(|(_, seg)| seg.critical);
+        for ((s, _), region) in crit_segs.zip(&f.abs.regions) {
+            let Some(phys) = region.speculative_lines(a.vm.subscribes()) else {
                 continue;
-            }
-            let lines: Vec<u64> = seg.lines().into_iter().collect();
-            // Re-derive the per-set counts so the diagnostic can name
-            // the offending set (Analysis only keeps the verdict).
-            let subscribes = !a.system.policy().htmlock;
-            let mut phys: Vec<sim_core::types::LineAddr> = lines
-                .iter()
-                .map(|&l| tmverify::progs::SpecProgram::data_line(l))
-                .collect();
-            if subscribes {
-                phys.push(tmverify::progs::SpecProgram::LOCK_LINE);
-            }
-            let mut per_set: std::collections::BTreeMap<usize, usize> =
-                std::collections::BTreeMap::new();
-            for &line in &phys {
-                *per_set.entry(a.cfg.l1_set_of(line)).or_default() += 1;
-            }
-            let Some((&set, &n)) = per_set.iter().find(|&(_, &n)| n > ways) else {
+            };
+            let Some((set, n)) = overfull_l1_set(&a.vm.cfg, &phys) else {
                 continue;
             };
             let sig = if phys.len() > budget {
@@ -188,7 +179,7 @@ fn capacity_overflow(a: &Analysis, out: &mut Vec<Diag>) {
                 thread: Some(t),
                 segment: Some(s),
                 op: None,
-                lines,
+                lines: a.spec_lines(&AbsLines::Lines(phys)).into_iter().collect(),
                 message: format!(
                     "critical segment maps {n} lines to L1 set {set} \
                      (associativity {ways}): speculative overflow is guaranteed{sig}"
@@ -203,54 +194,52 @@ fn capacity_overflow(a: &Analysis, out: &mut Vec<Diag>) {
 /// touches a line `u` writes critically) — the deadlock/livelock shape
 /// of the `2/c:L0,S1/c:L1,S0` kernel.
 fn handoff_cycle(a: &Analysis, out: &mut Vec<Diag>) {
-    let n = a.threads.len();
-    let touches_crit = |t: usize, l: u64| {
-        a.threads[t].crit_reads.contains(&l) || a.threads[t].crit_writes.contains(&l)
-    };
-    let edge =
-        |t: usize, u: usize| t != u && a.threads[u].crit_writes.iter().any(|&l| touches_crit(t, l));
-    // Strongly connected components via iterated DFS on the (tiny)
-    // thread graph: a multi-node SCC is a hand-off cycle.
-    let mut comp = vec![usize::MAX; n];
-    let mut n_comps = 0;
+    let threads = &a.vm.threads;
+    let n = threads.len();
+    let crit_writes: Vec<BTreeSet<u64>> = threads
+        .iter()
+        .map(|f| a.spec_lines(&f.abs.crit_writes))
+        .collect();
+    let crit_touched: Vec<BTreeSet<u64>> = threads
+        .iter()
+        .map(|f| &a.spec_lines(&f.abs.crit_reads) | &a.spec_lines(&f.abs.crit_writes))
+        .collect();
+    // Transitive closure of the (tiny) thread graph: `t` reaches `u`
+    // along one or more edges. A multi-node strongly connected
+    // component is a hand-off cycle.
+    let mut reach: Vec<Vec<bool>> = (0..n)
+        .map(|t| {
+            (0..n)
+                .map(|u| t != u && !crit_writes[u].is_disjoint(&crit_touched[t]))
+                .collect()
+        })
+        .collect();
+    for k in 0..n {
+        for i in 0..n {
+            for j in 0..n {
+                reach[i][j] |= reach[i][k] && reach[k][j];
+            }
+        }
+    }
+    let mut placed = vec![false; n];
     for start in 0..n {
-        if comp[start] != usize::MAX {
+        if placed[start] {
             continue;
         }
-        // Nodes reachable from `start` that also reach back form its SCC.
-        let reach = |from: usize| -> Vec<bool> {
-            let mut seen = vec![false; n];
-            let mut stack = vec![from];
-            while let Some(v) = stack.pop() {
-                for (w, s) in seen.iter_mut().enumerate() {
-                    if !*s && edge(v, w) {
-                        *s = true;
-                        stack.push(w);
-                    }
-                }
-            }
-            seen
-        };
-        let fwd = reach(start);
-        for v in start..n {
-            if comp[v] == usize::MAX && (v == start || (fwd[v] && reach(v)[start])) {
-                comp[v] = n_comps;
-            }
+        let members: Vec<usize> = (start..n)
+            .filter(|&v| v == start || (reach[start][v] && reach[v][start]))
+            .collect();
+        for &v in &members {
+            placed[v] = true;
         }
-        n_comps += 1;
-    }
-    for c in 0..n_comps {
-        let members: Vec<usize> = (0..n).filter(|&t| comp[t] == c).collect();
         if members.len() < 2 {
             continue;
         }
         let mut lines: BTreeSet<u64> = BTreeSet::new();
         for &t in &members {
             for &u in &members {
-                for &l in &a.threads[u].crit_writes {
-                    if t != u && touches_crit(t, l) {
-                        lines.insert(l);
-                    }
+                if t != u {
+                    lines.extend(crit_writes[u].intersection(&crit_touched[t]));
                 }
             }
         }
@@ -273,16 +262,17 @@ fn handoff_cycle(a: &Analysis, out: &mut Vec<Diag>) {
 /// (d) Dead store: a line stored by some thread but never loaded by
 /// anyone — the value can never be observed.
 fn dead_store(a: &Analysis, out: &mut Vec<Diag>) {
-    let loaded: BTreeSet<u64> = a
-        .threads
-        .iter()
-        .flat_map(|t| t.crit_reads.union(&t.plain_reads).copied())
-        .collect();
-    for (t, _) in a.threads.iter().enumerate() {
-        for (s, seg) in a.spec.threads[t].iter().enumerate() {
+    let loaded = |l: u64| {
+        let line = SpecProgram::data_line(l);
+        a.vm.threads
+            .iter()
+            .any(|f| f.abs.crit_reads.contains(line) || f.abs.plain_reads.contains(line))
+    };
+    for (t, segs) in a.spec.threads.iter().enumerate() {
+        for (s, seg) in segs.iter().enumerate() {
             for (k, op) in seg.ops.iter().enumerate() {
                 let Op::Store(l) = *op else { continue };
-                if loaded.contains(&l) {
+                if loaded(l) {
                     continue;
                 }
                 out.push(Diag {
@@ -301,7 +291,11 @@ fn dead_store(a: &Analysis, out: &mut Vec<Diag>) {
 
 /// (d) Unused line: declared in the arena but never referenced.
 fn unused_line(a: &Analysis, out: &mut Vec<Diag>) {
-    let touched: BTreeSet<u64> = (0..a.threads.len()).flat_map(|t| a.touched(t)).collect();
+    let touched: BTreeSet<u64> =
+        a.vm.threads
+            .iter()
+            .flat_map(|f| a.spec_lines(&f.abs.touched()))
+            .collect();
     for l in 0..a.spec.lines {
         if !touched.contains(&l) {
             out.push(Diag {
@@ -319,8 +313,8 @@ fn unused_line(a: &Analysis, out: &mut Vec<Diag>) {
 
 /// `C0` compute segments do nothing; almost always a spec typo.
 fn noop_compute(a: &Analysis, out: &mut Vec<Diag>) {
-    for (t, _) in a.threads.iter().enumerate() {
-        for (s, seg) in a.spec.threads[t].iter().enumerate() {
+    for (t, segs) in a.spec.threads.iter().enumerate() {
+        for (s, seg) in segs.iter().enumerate() {
             for (k, op) in seg.ops.iter().enumerate() {
                 if *op == Op::Compute(0) {
                     out.push(Diag {

@@ -1,11 +1,11 @@
-//! vmabs — abstract interpretation over `guestvm` bytecode kernels.
+//! vmabs — abstract interpretation over `guestvm` bytecode kernels, and
+//! the crate's one analysis lattice ([`VmAnalysis`]).
 //!
-//! PR 6's [`Analysis`](crate::Analysis) decides footprints by reading
-//! the `ProgSpec` DSL, which cannot express indexed addressing or
-//! data-dependent loops. This module recovers the same facts from the
-//! compiled [`Kernel`] bytecode itself — the artifact `--backend vm`
-//! actually executes — by running a classic worklist abstract
-//! interpretation:
+//! Footprints come from the compiled [`Kernel`] bytecode itself — the
+//! artifact `--backend vm` actually executes, and what every `ProgSpec`
+//! compiles to ([`Analysis`](crate::Analysis) is the spec front end) —
+//! so indexed addressing and data-dependent loops are expressible. The
+//! facts are recovered by a classic worklist abstract interpretation:
 //!
 //! - **Value domain** ([`AbsVal`]): per-register constants, bounded
 //!   stride intervals (`{base + k·stride | k < count}`, no wrap),
@@ -668,6 +668,18 @@ impl RegionAbs {
         let (r, w) = (self.reads.lines()?, self.writes.lines()?);
         Some(r.union(w).copied().collect())
     }
+
+    /// Lines one HTM attempt of the region holds speculatively: its
+    /// footprint plus, when the system `subscribes`
+    /// ([`VmAnalysis::subscribes`]), the fallback lock line. `None`
+    /// when widened.
+    pub fn speculative_lines(&self, subscribes: bool) -> Option<BTreeSet<LineAddr>> {
+        let mut lines = self.lines()?;
+        if subscribes {
+            lines.insert(SpecProgram::LOCK_LINE);
+        }
+        Some(lines)
+    }
 }
 
 /// One memory op (`Load`/`Store`/`Cas`) at one program point and
@@ -1195,33 +1207,47 @@ pub fn cache_counters() -> (u64, u64) {
 // Whole-program projection onto a system + cache geometry
 // ---------------------------------------------------------------------
 
-/// [`KernelAbs`] projected onto one thread of a concrete system — the
-/// bytecode-level mirror of [`ThreadFacts`](crate::analysis::ThreadFacts),
-/// with explicit "unknown" where a widened footprint voids a proof.
+/// [`KernelAbs`] projected onto one thread of a concrete system, with
+/// explicit "unknown" where a widened footprint voids a proof.
 #[derive(Clone, Debug)]
 pub struct VmThreadFacts {
     pub abs: Arc<KernelAbs>,
+    /// The kernel has at least one critical region (even an empty or
+    /// compute-only one enters the concurrency-control machinery).
     pub has_critical: bool,
-    /// Some critical region *provably* overflows the speculative ways.
+    /// Some critical region *provably* overflows the speculative ways:
+    /// every HTM attempt of that region must overflow.
     pub overflow: bool,
     /// Some critical region's footprint widened to Top, so overflow can
     /// be neither proven nor refuted.
     pub overflow_unknown: bool,
+    /// Some HTM attempt by this thread can abort (capacity overflow,
+    /// data conflict on its transactional lines, or — on
+    /// lock-subscribing systems — observing a taken fallback lock).
     pub tx_abort: bool,
+    /// Some request by this thread can be rejected (or it waits at a
+    /// barrier or page touch), so the thread can park / retry /
+    /// self-abort under the recovery mechanism.
     pub parks: bool,
+    /// The thread can reach the software fallback lock (or holds the
+    /// CGL lock for its critical sections).
     pub fallback: bool,
+    /// The thread can read / write the physical lock line.
     pub lock_read: bool,
     pub lock_write: bool,
+    /// Statically *pure*: never aborts, never parks, never touches the
+    /// lock-write path, HLA arbiter, or overflow signatures. Pure cores
+    /// are the refinement targets of [`VmAnalysis::independence`].
     pub pure: bool,
 }
 
 /// Whole-program static analysis over compiled kernels (one per
 /// thread), assuming the standard `Runner` arena layout (fallback lock
-/// on [`SpecProgram::LOCK_LINE`]). The bytecode-level mirror of
-/// [`Analysis`](crate::Analysis): same five layers, same policy model,
-/// but footprints come from [`analyze_cached`] instead of the spec DSL
-/// — so indexed addressing and data-dependent loops degrade to Top
-/// instead of being inexpressible.
+/// on [`SpecProgram::LOCK_LINE`]). Five layers over the per-thread
+/// footprints of [`analyze_cached`] — capacity, abort/park sources,
+/// fallback contagion, lock footprint, purity — then the may-conflict
+/// relation and the DPOR independence table. All facts are conservative
+/// over-approximations of what any schedule can exhibit.
 pub struct VmAnalysis {
     pub system: SystemKind,
     pub cfg: SystemConfig,
@@ -1256,29 +1282,18 @@ impl VmAnalysis {
             })
             .collect();
 
-        // Layer 2: capacity, per critical region. Mirrors the spec
-        // analysis: distinct physical lines (plus the subscribed lock
-        // line) mapping to one L1 set beyond its ways must overflow.
-        // A widened region makes the question unanswerable.
+        // Layer 2: capacity, per critical region: distinct physical
+        // lines (plus the subscribed lock line) mapping to one L1 set
+        // beyond its ways must overflow. A widened region makes the
+        // question unanswerable.
         for t in &mut threads {
             if !htm {
                 continue;
             }
             for region in &t.abs.regions {
-                match region.lines() {
+                match region.speculative_lines(subscribes) {
                     None => t.overflow_unknown = true,
-                    Some(mut phys) => {
-                        if subscribes {
-                            phys.insert(SpecProgram::LOCK_LINE);
-                        }
-                        let mut per_set: BTreeMap<usize, usize> = BTreeMap::new();
-                        for line in phys {
-                            *per_set.entry(cfg.l1_set_of(line)).or_default() += 1;
-                        }
-                        if per_set.values().any(|&c| c > cfg.speculative_ways()) {
-                            t.overflow = true;
-                        }
-                    }
+                    Some(phys) => t.overflow |= overfull_l1_set(&cfg, &phys).is_some(),
                 }
             }
         }
@@ -1296,7 +1311,11 @@ impl VmAnalysis {
             me.parks = any_conflict || me.abs.has_barrier || me.abs.has_pagetouch;
         }
 
-        // Layer 4: fallback contagion on subscribing systems.
+        // Layer 4: fallback-lock reachability. An aborting thread burns
+        // its retry budget and falls back. On lock-subscribing systems
+        // the taken lock then aborts *every* concurrent HTM attempt
+        // (LockTaken), so one reachable fallback makes the whole
+        // critical population fallback-reachable.
         for t in &mut threads {
             t.fallback = t.tx_abort;
         }
@@ -1318,6 +1337,7 @@ impl VmAnalysis {
                 t.lock_read = t.has_critical;
                 t.lock_write = t.fallback;
             } else {
+                // HTMLock: no subscription; only fallback takers touch it.
                 t.lock_read = t.fallback;
                 t.lock_write = t.fallback;
             }
@@ -1332,6 +1352,12 @@ impl VmAnalysis {
         }
     }
 
+    /// HTM attempts transactionally load the fallback lock line (every
+    /// HTM system except HTMLock, which drops the subscription).
+    pub fn subscribes(&self) -> bool {
+        self.system.uses_htm() && !self.system.policy().htmlock
+    }
+
     fn writes(&self, t: usize, l: LineAddr) -> bool {
         self.threads[t].abs.written().contains(l)
     }
@@ -1340,10 +1366,16 @@ impl VmAnalysis {
         self.threads[t].abs.touched().contains(l)
     }
 
-    /// Bytecode-level mirror of [`Analysis::may_conflict`]: true when
-    /// cores `a` and `b` can dynamically produce a conflict edge on
-    /// `line`. Widened footprints touch every line, so the relation
-    /// over-approximates exactly where precision was lost.
+    /// The whole-program may-conflict relation over *physical* lines:
+    /// true when cores `a` and `b` can dynamically produce a
+    /// [`ConflictEdge`](sim_core::obs::ConflictEdge) on `line` in some
+    /// schedule. Covers data conflicts (one side writes, the other
+    /// touches), lock-line traffic (subscription loads vs. fallback/CGL
+    /// lock writes), and Bloom-signature false positives of
+    /// switchingMode (an overflowing thread's signature can falsely
+    /// match *any* line another thread requests). Widened footprints
+    /// touch every line, so the relation over-approximates exactly
+    /// where precision was lost.
     pub fn may_conflict(&self, a: usize, b: usize, line: LineAddr) -> bool {
         let n = self.threads.len();
         if a >= n || b >= n {
@@ -1379,9 +1411,13 @@ impl VmAnalysis {
         out
     }
 
-    /// Whether some LLC set can exceed its associativity. `None` when a
-    /// widened footprint makes the count unknowable.
+    /// Whether some LLC set can be asked to hold more program lines than
+    /// its associativity, so a tag eviction — and with it an observable
+    /// LRU ordering effect — is possible. `None` when a widened
+    /// footprint makes the count unknowable.
     pub fn llc_eviction_possible(&self) -> Option<bool> {
+        // Count the lock line unconditionally: cheap, and immune to an
+        // under-approximated lock footprint.
         let mut lines: BTreeSet<LineAddr> = [SpecProgram::LOCK_LINE].into();
         for t in 0..self.threads.len() {
             lines.extend(self.phys_lines(t).lines()?.iter().copied());
@@ -1394,12 +1430,23 @@ impl VmAnalysis {
         Some(per_set.values().any(|&c| c > self.cfg.mem.llc_bank.ways))
     }
 
-    /// Construct the DPOR pruning table for `tmverify --backend vm`, or
-    /// `None` when the soundness premises cannot be *proven* over the
-    /// bytecode — the Top-degradation contract: any widened footprint,
-    /// possible overflow, possible LLC eviction, page-touch traffic, or
-    /// more than 64 cores degrades to no-pruning rather than risking an
-    /// unsound table. Mirrors [`Analysis::independence`] otherwise.
+    /// Construct the DPOR pruning table, or `None` when the soundness
+    /// premises cannot be *proven* for the whole program:
+    ///
+    /// - **No capacity overflow anywhere** — otherwise overflow
+    ///   signatures are populated and consulted by every HTM request
+    ///   (with Bloom false positives against arbitrary lines), and
+    ///   switchingMode engages.
+    /// - **No LLC eviction possible** — otherwise tag-LRU state couples
+    ///   same-bank events beyond the per-line directory.
+    /// - **No page-touch traffic and at most 64 cores.**
+    ///
+    /// Any widened footprint degrades to no table rather than risking
+    /// an unsound one (the Top-degradation contract). Under the
+    /// premises the table's `bank_foot` covers every line each core can
+    /// touch (including the conditionally reachable lock) and `pure`
+    /// marks cores that provably never abort, park, lock, or touch
+    /// HLA/signature state.
     pub fn independence(&self) -> Option<StaticIndependence> {
         if self
             .threads
@@ -1434,8 +1481,21 @@ impl VmAnalysis {
     }
 }
 
-/// Conflicts touching `t`'s transactional lines (what can abort its HTM
-/// attempts). Mirror of the spec-level helper over [`AbsLines`].
+/// The first L1 set `lines` overfill — more of them map to it than the
+/// speculative ways hold — as `(set, lines mapped to it)`.
+pub fn overfull_l1_set(cfg: &SystemConfig, lines: &BTreeSet<LineAddr>) -> Option<(usize, usize)> {
+    let mut per_set: BTreeMap<usize, usize> = BTreeMap::new();
+    for &line in lines {
+        *per_set.entry(cfg.l1_set_of(line)).or_default() += 1;
+    }
+    per_set
+        .into_iter()
+        .find(|&(_, n)| n > cfg.speculative_ways())
+}
+
+/// A conflict touching `t`'s *transactional* lines (what can abort
+/// `t`'s HTM attempts): `t` writes a line `u` touches, or `u` writes a
+/// line `t` touches transactionally.
 fn crit_conflict(threads: &[VmThreadFacts], t: usize, u: usize) -> bool {
     let (ft, fu) = (&threads[t].abs, &threads[u].abs);
     let u_writes = fu.written();
@@ -1443,7 +1503,8 @@ fn crit_conflict(threads: &[VmThreadFacts], t: usize, u: usize) -> bool {
     ft.crit_writes.intersects(&u_touches) || ft.crit_reads.intersects(&u_writes)
 }
 
-/// Any access of `t` conflicting with any access of `u`.
+/// Any access of `t` conflicting with any access of `u` (what can get a
+/// request of `t` rejected, hence parked, by the recovery mechanism).
 fn data_conflict(threads: &[VmThreadFacts], t: usize, u: usize) -> bool {
     let (ft, fu) = (&threads[t].abs, &threads[u].abs);
     ft.written().intersects(&fu.touched()) || ft.touched().intersects(&fu.written())

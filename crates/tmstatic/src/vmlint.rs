@@ -1,5 +1,6 @@
-//! Lint rules over a [`VmAnalysis`] — the bytecode-level counterpart
-//! of [`lint`](crate::lint).
+//! Kernel-mode lint rules over a [`VmAnalysis`] — the kernel-position
+//! front end; [`lint`](crate::lint) is the spec-position one over the
+//! same lattice.
 //!
 //! Reuses the [`Diag`] type and its **stable** JSON schema, with the
 //! position fields reinterpreted for kernels: `thread` is the simulated
@@ -17,7 +18,7 @@
 //! widening can cost precision but never soundness.
 
 use crate::lint::{Diag, Severity};
-use crate::vmabs::{AbsLines, LoopBound, VmAnalysis};
+use crate::vmabs::{overfull_l1_set, AbsLines, LoopBound, VmAnalysis};
 use sim_core::types::LineAddr;
 use std::collections::BTreeSet;
 
@@ -97,21 +98,12 @@ fn capacity_overflow(a: &VmAnalysis, out: &mut Vec<Diag>) {
         return;
     }
     let ways = a.cfg.speculative_ways();
-    let subscribes = !a.system.policy().htmlock;
     for (t, f) in a.threads.iter().enumerate() {
         for (s, region) in f.abs.regions.iter().enumerate() {
-            let Some(mut phys) = region.lines() else {
+            let Some(phys) = region.speculative_lines(a.subscribes()) else {
                 continue; // widened region: overflow unprovable
             };
-            if subscribes {
-                phys.insert(guestvm::spec::SpecProgram::LOCK_LINE);
-            }
-            let mut per_set: std::collections::BTreeMap<usize, usize> =
-                std::collections::BTreeMap::new();
-            for &line in &phys {
-                *per_set.entry(a.cfg.l1_set_of(line)).or_default() += 1;
-            }
-            let Some((&set, &n)) = per_set.iter().find(|&(_, &n)| n > ways) else {
+            let Some((set, n)) = overfull_l1_set(&a.cfg, &phys) else {
                 continue;
             };
             out.push(Diag {

@@ -183,8 +183,7 @@ fn vacuous_bytecode_table_keeps_vm_exploration_bit_identical() {
 fn backends_agree_on_digests_with_and_without_pruning() {
     // The guestvm contract: both backends run the same ops, so the
     // exploration digests must agree backend-to-backend — pruned and
-    // unpruned alike. (The spec- and bytecode-derived tables are
-    // themselves equal; vm_consistency.rs pins that.)
+    // unpruned alike, with the one table both backends are given.
     for prog in ["3/c:L0,S0/c:L1,S1/c:L2,S2", "2/c:L0,S1/c:L1,S0"] {
         let threads_ex = explorer(SystemKind::LockillerTm, prog);
         let mut vm_ex = threads_ex.clone();

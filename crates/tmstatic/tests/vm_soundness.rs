@@ -4,12 +4,19 @@
 //! the kernels alone — on **both** execution backends, which the
 //! `guestvm` contract requires to be op-identical.
 //!
-//! Covered corpora: the injected-bug witness specs (compiled to
-//! bytecode), the STAMP VM workloads (kmeans both contention modes,
+//! Covered corpora: the injected-bug witness specs, the conflict-ring
+//! kernels on every system, the overflowing kernel under the tiny L1
+//! (Bloom-signature edges) and random specs — all compiled to bytecode
+//! —, the STAMP VM workloads (kmeans both contention modes,
 //! IntruderFlow with its data-dependent loops — the Top-degradation
 //! stress case), and batches of deterministically generated random
 //! kernels exercising computed addresses and counted loops that no
 //! `ProgSpec` can express.
+//!
+//! The spec cases double as the layout cross-check: if
+//! `SpecProgram::LOCK_LINE`/`data_line` ever drifted from the runner's
+//! real arena layout, dynamic accesses would land on physical lines the
+//! compiled kernels never address and the footprint check would fail.
 
 use guestvm::{run_on_ctx, BinOp, Cond, GuestVm, Kernel, KernelBuilder};
 use lockiller::{
@@ -59,6 +66,10 @@ fn assert_vm_sound<P: Program>(
         .tracing()
         .obs(handle)
         .run(prog);
+    assert!(
+        out.end.is_done(),
+        "{label}: run must complete for the recording to be total"
+    );
 
     // Touched-line soundness: every traced data access by core c must
     // be a member of the abstract phys-line set of c.
@@ -137,6 +148,76 @@ fn corpus_specs_compiled_to_bytecode_are_sound_on_both_backends() {
         }
     }
     assert!(edges > 0, "the corpus kernels must actually conflict");
+}
+
+/// [`assert_vm_sound`] for `spec`'s compiled kernels under the
+/// explorer's geometry, on both backends.
+fn assert_spec_sound(system: SystemKind, spec: &ProgSpec, tiny_l1: bool, label: &str) -> usize {
+    let mut ex = Explorer::new(system, spec.clone());
+    ex.tiny_l1 = tiny_l1;
+    let kernels = ex.kernels();
+    [Backend::Threads, Backend::Vm]
+        .into_iter()
+        .map(|backend| {
+            assert_vm_sound(
+                system,
+                ex.config(),
+                &kernels,
+                &mut SpecProgram::new(spec.clone()),
+                backend,
+                label,
+            )
+        })
+        .sum()
+}
+
+#[test]
+fn ring_kernels_are_sound_across_systems() {
+    let mut edges = 0;
+    for system in [
+        SystemKind::Cgl,
+        SystemKind::Baseline,
+        SystemKind::LockillerRwi,
+        SystemKind::LockillerRwil,
+        SystemKind::LockillerTm,
+    ] {
+        for (threads, lines) in [(2, 2), (3, 2), (3, 3)] {
+            let spec = ProgSpec::conflict_ring(threads, lines);
+            let label = format!("{} ring {threads}x{lines}", system.name());
+            edges += assert_spec_sound(system, &spec, false, &label);
+        }
+    }
+    assert!(edges > 0);
+}
+
+#[test]
+fn overflowing_kernel_with_signatures_is_sound() {
+    // Tiny L1 forces both transactions to overflow and switch to STL
+    // mode on LockillerTm: conflict edges can come from Bloom-signature
+    // matches (including false positives on disjoint line sets), which
+    // the static relation must cover.
+    let spec = ProgSpec::parse("6/c:L0,L1,L2,S0/c:L3,L4,L5,S3").unwrap();
+    assert_spec_sound(SystemKind::LockillerTm, &spec, true, "overflow kernel");
+    assert_spec_sound(
+        SystemKind::LockillerRwi,
+        &spec,
+        true,
+        "overflow kernel (subscribing)",
+    );
+}
+
+#[test]
+fn random_specs_are_sound() {
+    let mut edges = 0;
+    for seed in 0..8u64 {
+        let mut rng = proptest::Rng::new(0x50DA + seed);
+        let spec = ProgSpec::random(&mut rng, 2 + (seed as usize % 2), 3);
+        for system in [SystemKind::LockillerRwi, SystemKind::LockillerTm] {
+            let label = format!("random #{seed} {}", spec.render());
+            edges += assert_spec_sound(system, &spec, false, &label);
+        }
+    }
+    assert!(edges > 0, "random batch must exercise some conflicts");
 }
 
 #[test]

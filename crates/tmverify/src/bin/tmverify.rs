@@ -21,7 +21,8 @@
 //!
 //! Exit codes — `explore`: 0 clean and complete, 1 violation found
 //! (witness written to `--out`, default `tmverify-witness.json`),
-//! 2 budget exhausted before the space was covered (or bad usage).
+//! 2 budget exhausted before the space was covered (or bad usage, or
+//! more simulated threads than the exploration geometry supports).
 //! `replay`: 0 witness reproduces its violation, 1 it does not,
 //! 2 unreadable witness.
 
@@ -123,8 +124,16 @@ fn parse_args(mut it: std::env::Args) -> Args {
             usage();
         })
     } else {
+        if cores == 0 || lines == 0 {
+            eprintln!("tmverify: --cores and --lines must be at least 1");
+            usage();
+        }
         ProgSpec::conflict_ring(cores, lines)
     };
+    if let Err(e) = tmverify::dpor::check_threads(ex.spec.num_threads()) {
+        eprintln!("tmverify: {e}");
+        std::process::exit(2);
+    }
     Args {
         explorer: ex,
         out,

@@ -96,6 +96,21 @@ pub fn inject_names(fault: &FaultInject) -> Vec<String> {
         .collect()
 }
 
+/// Check that a program of `threads` simulated threads fits the
+/// geometry [`Explorer::config`] builds (the `SystemConfig::testing`
+/// preset, one core per thread). CLIs reject a spec with this message
+/// instead of panicking inside the config builder.
+pub fn check_threads(threads: usize) -> Result<(), String> {
+    let max = SystemConfig::TESTING_MAX_CORES;
+    if (1..=max).contains(&threads) {
+        Ok(())
+    } else {
+        Err(format!(
+            "{threads} simulated threads: the exploration geometry supports 1 to {max}"
+        ))
+    }
+}
+
 /// Explorer configuration + entry point.
 #[derive(Clone)]
 pub struct Explorer {
