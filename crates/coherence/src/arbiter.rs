@@ -27,7 +27,7 @@ pub enum HlaDecision {
     Queued,
 }
 
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, Hash)]
 pub struct HlaArbiter {
     holder: Option<(CoreId, bool)>, // (core, is_stl)
     queued_tl: Option<CoreId>,

@@ -12,9 +12,10 @@ use sim_core::config::CacheGeometry;
 use sim_core::fxhash::FxHashMap;
 use sim_core::types::{CoreId, LineAddr};
 use std::collections::VecDeque;
+use std::hash::{Hash, Hasher};
 
 /// Sharer bitmap: up to 32 cores (the paper's system size).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct CoreSet(pub u32);
 
 impl CoreSet {
@@ -52,7 +53,7 @@ impl CoreSet {
 }
 
 /// Stable directory state for a line (absence from the map means I).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DirState {
     /// Read-only copies at these cores; LLC data current.
     Shared(CoreSet),
@@ -61,7 +62,7 @@ pub enum DirState {
 }
 
 /// An in-flight request at the directory: probes sent, responses pending.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct Pending {
     pub req: ReqInfo,
     /// Cores whose probe responses are still outstanding.
@@ -80,7 +81,7 @@ pub struct Pending {
 }
 
 /// Directory entry for one line homed at this bank.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct DirEntry {
     pub state: Option<DirState>,
     pub pending: Option<Pending>,
@@ -128,10 +129,35 @@ pub struct Bank {
     pub queue_peak: u64,
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Hash)]
 struct TagLine {
     line: LineAddr,
     lru: u64,
+}
+
+/// Hashes every field `Debug` prints, `dir` in its iteration order (as
+/// `Debug` walks it), so two banks hash equal exactly when their `Debug`
+/// renderings are equal (the schedule explorer's state fingerprint
+/// relies on that partition).
+impl Hash for Bank {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        let Bank {
+            geom,
+            stride,
+            sets,
+            clock,
+            dir,
+            hits,
+            misses,
+            queued,
+            queue_peak,
+        } = self;
+        (geom, stride, sets, clock, dir.len()).hash(h);
+        for entry in dir {
+            entry.hash(h);
+        }
+        (hits, misses, queued, queue_peak).hash(h);
+    }
 }
 
 impl Bank {

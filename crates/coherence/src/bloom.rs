@@ -11,7 +11,7 @@ use sim_core::fxhash::hash_u64;
 use sim_core::types::LineAddr;
 
 /// A fixed-size Bloom filter over cache-line addresses.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct Signature {
     bits: Vec<u64>,
     nbits: usize,

@@ -15,9 +15,10 @@
 use sim_core::config::CacheGeometry;
 use sim_core::fxhash::FxHashSet;
 use sim_core::types::LineAddr;
+use std::hash::{Hash, Hasher};
 
 /// MESI stable states as held in an L1 (I is represented by absence).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Mesi {
     Shared,
     Exclusive,
@@ -25,7 +26,7 @@ pub enum Mesi {
 }
 
 /// One resident L1 line.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Hash)]
 pub struct L1Line {
     pub line: LineAddr,
     pub state: Mesi,
@@ -78,6 +79,25 @@ pub struct L1 {
     /// Lines with R or W set — kept aside so commit/abort are O(set size),
     /// not O(cache size).
     tx_lines: FxHashSet<LineAddr>,
+}
+
+/// Hashes every field `Debug` prints, `tx_lines` in its iteration order
+/// (as `Debug` walks it), so two L1s hash equal exactly when their
+/// `Debug` renderings are equal (the schedule explorer's state
+/// fingerprint relies on that partition).
+impl Hash for L1 {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        let L1 {
+            geom,
+            sets,
+            clock,
+            tx_lines,
+        } = self;
+        (geom, sets, clock, tx_lines.len()).hash(h);
+        for line in tx_lines {
+            line.hash(h);
+        }
+    }
 }
 
 impl L1 {

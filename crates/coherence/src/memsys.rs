@@ -85,7 +85,7 @@ pub enum ProtoEvent {
 pub type Outputs = (Vec<(Cycle, NetMsg)>, Vec<(Cycle, CoreNotice)>);
 
 /// Asynchronous notifications to the per-core controllers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CoreNotice {
     /// The pending access completed.
     AccessDone { core: CoreId },
@@ -102,7 +102,7 @@ pub enum CoreNotice {
 }
 
 /// Per-core protocol-side metadata.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 struct CoreMeta {
     mode: TxMode,
     prio: Prio,
@@ -123,7 +123,7 @@ struct CoreMeta {
     hla_held: bool,
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Hash)]
 struct PendingAccess {
     line: LineAddr,
     set_r: bool,
@@ -1610,27 +1610,20 @@ impl MemSystem {
 
     /// Fold the behaviourally relevant memory-system state into `h`
     /// (for the schedule explorer's state fingerprint; see
-    /// `lockiller::sched`). Uses `Debug` renderings of the component
-    /// state machines: two runs in the *same* state always hash equal
-    /// except where hash-map iteration order diverges across insertion
-    /// histories, and such a miss only costs the explorer pruning — it
-    /// can never merge genuinely different states.
+    /// `lockiller::sched`). Hashes the component state machines
+    /// structurally, field by field, over exactly the fields their
+    /// `Debug` impls print (statistics counters and LRU clocks
+    /// included), with no string formatting. Two runs in the *same*
+    /// state always hash equal except where hash-map iteration order
+    /// diverges across insertion histories (the L1 transaction set and
+    /// the directory are walked in iteration order), and such a miss
+    /// only costs the explorer pruning — it can never merge genuinely
+    /// different states.
     pub fn fingerprint(&self, h: &mut impl std::hash::Hasher) {
         use std::hash::Hash;
-        for (i, l1) in self.l1s.iter().enumerate() {
-            format!("l1[{i}]={l1:?}").hash(h);
-        }
-        for (i, m) in self.meta.iter().enumerate() {
-            format!("meta[{i}]={m:?}").hash(h);
-        }
-        for (i, b) in self.banks.iter().enumerate() {
-            format!("bank[{i}]={b:?}").hash(h);
-        }
-        format!("mesh={:?}", self.mesh).hash(h);
-        format!("sig=({:?},{:?})", self.sig_rd, self.sig_wr).hash(h);
-        format!("waiters={:?}", self.sig_waiters).hash(h);
-        format!("arbiter={:?}", self.arbiter).hash(h);
-        format!("mutex={:?}", self.mutex_line).hash(h);
+        (&self.l1s, &self.meta, &self.banks, &self.mesh).hash(h);
+        (&self.sig_rd, &self.sig_wr, &self.sig_waiters).hash(h);
+        (&self.arbiter, self.mutex_line).hash(h);
     }
 
     /// Debug invariant: single-writer/multiple-reader — no line may be

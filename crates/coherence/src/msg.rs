@@ -13,7 +13,7 @@ pub type Prio = u64;
 pub const PRIO_LOCK: Prio = u64::MAX;
 
 /// Execution mode of a core as seen by the protocol.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TxMode {
     /// Not in any transaction.
     None,
@@ -36,7 +36,7 @@ impl TxMode {
 }
 
 /// Classification a request carries so victims and the LLC can arbitrate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ReqMode {
     /// Plain access outside any critical section.
     NonTx,
@@ -50,14 +50,14 @@ pub enum ReqMode {
 }
 
 /// Coherence request kind. An upgrade is a `GetM` from a current sharer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ReqKind {
     GetS,
     GetM,
 }
 
 /// A coherence request as seen by the home bank and probed L1s.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Hash)]
 pub struct ReqInfo {
     pub core: CoreId,
     pub kind: ReqKind,
@@ -71,7 +71,7 @@ pub struct ReqInfo {
 }
 
 /// Grant state returned with data.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum GrantState {
     Shared,
     Exclusive,
@@ -79,7 +79,7 @@ pub enum GrantState {
 }
 
 /// Response from a probed L1 back to the home bank.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum L1Rsp {
     /// Invalidated (or never had) the line; `had_line` distinguishes a
     /// stale probe from a real invalidation, `aborted` reports that the
@@ -93,7 +93,7 @@ pub enum L1Rsp {
 }
 
 /// Messages travelling on the NoC between L1s, LLC banks, and the arbiter.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Hash)]
 pub enum NetMsg {
     /// L1 -> home bank: coherence request.
     Req(ReqInfo),

@@ -797,10 +797,10 @@ impl<'g> Engine<'g> {
     fn event_id(&self, ev: &Ev) -> u64 {
         let mut h = FxHasher::default();
         match ev {
-            Ev::Recv(c) => ("recv", c, format!("{:?}", self.ctl[*c].staged_op)).hash(&mut h),
-            Ev::Respond(c, resp) => ("respond", c, format!("{resp:?}")).hash(&mut h),
-            Ev::Net(m) => ("net", format!("{m:?}")).hash(&mut h),
-            Ev::Notice(n) => ("notice", format!("{n:?}")).hash(&mut h),
+            Ev::Recv(c) => ("recv", c, self.ctl[*c].staged_op).hash(&mut h),
+            Ev::Respond(c, resp) => ("respond", c, resp).hash(&mut h),
+            Ev::Net(m) => ("net", m).hash(&mut h),
+            Ev::Notice(n) => ("notice", n).hash(&mut h),
             Ev::Retry(c, seq) => ("retry", c, self.ctl[*c].parked == Some(*seq)).hash(&mut h),
             Ev::ParkTimeout(c, seq) => ("park", c, self.ctl[*c].parked == Some(*seq)).hash(&mut h),
         }
@@ -832,11 +832,7 @@ impl<'g> Engine<'g> {
                 c.resp_hash,
             )
                 .hash(&mut h);
-            format!(
-                "{:?}|{:?}|{:?}|{:?}",
-                c.doomed, c.cur_op, c.deferred_op, c.staged_op
-            )
-            .hash(&mut h);
+            (c.doomed, c.cur_op, c.deferred_op, c.staged_op).hash(&mut h);
         }
         for (i, b) in self.bufs.iter().enumerate() {
             (i, b.len()).hash(&mut h);

@@ -57,7 +57,7 @@ impl TTest {
 ///
 /// Non-exhaustive: the VM backend may grow ops without breaking
 /// downstream crates; match with a wildcard arm.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum GuestOp {
     /// `n` non-memory instructions.

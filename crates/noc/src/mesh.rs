@@ -47,7 +47,7 @@ fn link_index(node: NodeId, dir: Dir) -> usize {
 }
 
 /// Aggregate NoC traffic statistics.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, Hash)]
 pub struct NocStats {
     pub messages: u64,
     pub hops: u64,
@@ -87,7 +87,7 @@ pub fn obs_metric_specs(width: usize, height: usize) -> Vec<MetricSpec> {
 }
 
 /// The mesh timing model. See the crate docs for the contention model.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct Mesh {
     width: usize,
     height: usize,

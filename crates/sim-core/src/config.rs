@@ -21,7 +21,7 @@ use std::hash::Hasher;
 
 /// Geometry of one set-associative cache (sizes are per instance: one L1,
 /// or one LLC bank).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CacheGeometry {
     /// Number of sets. Must be a power of two.
     pub sets: usize,
