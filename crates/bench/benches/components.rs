@@ -84,7 +84,37 @@ fn bench_event_queue(c: &mut Criterion) {
             n
         });
     });
+    // The engine's hot pattern: each response fires its core's `Recv`
+    // in the same cycle, which issues the next response a few cycles
+    // out, so the front keeps filling with same-cycle bursts.
+    g.bench_function("respond_recv_burst_8c_2k", |b| {
+        b.iter(|| {
+            let mut q = EventQueue::new();
+            for core in 0..8 {
+                q.schedule_at(0, BurstEv::Respond(core));
+            }
+            let mut n = 0u32;
+            while let Some((at, ev)) = q.pop() {
+                n += 1;
+                match ev {
+                    BurstEv::Respond(core) => q.schedule_at(at, BurstEv::Recv(core)),
+                    BurstEv::Recv(core) if n < 2048 => {
+                        q.schedule_at(at + 1 + core % 3, BurstEv::Respond(core));
+                    }
+                    BurstEv::Recv(_) => {}
+                }
+            }
+            n
+        });
+    });
     g.finish();
+}
+
+/// Event payload of the Respond->Recv burst bench (core id inside).
+#[derive(Clone, Copy)]
+enum BurstEv {
+    Respond(u64),
+    Recv(u64),
 }
 
 fn bench_fxhash(c: &mut Criterion) {

@@ -4,9 +4,23 @@
 //! for the same cycle fire in the order they were scheduled. That rule is
 //! what makes whole-system simulation bit-reproducible, so the experiment
 //! harness and the test suite can assert on exact cycle counts.
+//!
+//! Storage is a timing wheel in front of a heap. Events due within
+//! [`WHEEL`] cycles of `now` sit in per-cycle FIFO slots (`slots[at %
+//! WHEEL]`, with a bit per non-empty slot in `occupied`); later events
+//! wait in a `(cycle, seq)` min-heap. When `now` advances, heap events
+//! that fall inside the new window move to their slots in heap order.
+//! That happens before any direct insert for their cycle is possible (a
+//! cycle is only directly insertable once it is inside the window), so
+//! every slot holds its events in sequence order and the pop order is
+//! exactly the `(cycle, seq)` order of a single heap.
 
 use crate::types::Cycle;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
+
+/// Width of the near-future window, in cycles: one bit of `occupied`
+/// per slot.
+const WHEEL: usize = 64;
 
 #[derive(Debug)]
 struct Entry<E> {
@@ -36,7 +50,14 @@ impl<E> Ord for Entry<E> {
 /// A min-ordered event queue with deterministic same-cycle ordering.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    /// `slots[at % WHEEL]`: the events due at `at`, for `at` in
+    /// `now..now + WHEEL`, in schedule order.
+    slots: Vec<VecDeque<E>>,
+    /// Bit `i` set iff `slots[i]` is non-empty.
+    occupied: u64,
+    /// Events due at `now + WHEEL` or later.
+    far: BinaryHeap<Entry<E>>,
+    len: usize,
     next_seq: u64,
     now: Cycle,
 }
@@ -50,7 +71,10 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            slots: (0..WHEEL).map(|_| VecDeque::new()).collect(),
+            occupied: 0,
+            far: BinaryHeap::new(),
+            len: 0,
             next_seq: 0,
             now: 0,
         }
@@ -72,7 +96,14 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry { at, seq, payload });
+        self.len += 1;
+        if at - self.now < WHEEL as Cycle {
+            let i = at as usize % WHEEL;
+            self.slots[i].push_back(payload);
+            self.occupied |= 1 << i;
+        } else {
+            self.far.push(Entry { at, seq, payload });
+        }
     }
 
     /// Schedule `payload` to fire `delay` cycles from now.
@@ -82,23 +113,29 @@ impl<E> EventQueue<E> {
 
     /// Pop the earliest event, advancing simulated time to it.
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        let e = self.heap.pop()?;
-        debug_assert!(e.at >= self.now);
-        self.now = e.at;
-        Some((e.at, e.payload))
+        self.pop_nth_front(0)
     }
 
     /// Time of the next pending event without popping it.
     pub fn peek_time(&self) -> Option<Cycle> {
-        self.heap.peek().map(|e| e.at)
+        if self.occupied != 0 {
+            // Slot offsets from `now` in cycle order: rotate `now`'s
+            // slot to bit 0.
+            let ahead = self
+                .occupied
+                .rotate_right((self.now % WHEEL as Cycle) as u32);
+            Some(self.now + Cycle::from(ahead.trailing_zeros()))
+        } else {
+            self.far.peek().map(|e| e.at)
+        }
     }
 
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
     }
 
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// Number of events pending at the earliest cycle (the "front").
@@ -109,7 +146,11 @@ impl<E> EventQueue<E> {
     /// only consider alternative orders of the front.
     pub fn front_len(&self) -> usize {
         let Some(at) = self.peek_time() else { return 0 };
-        self.heap.iter().filter(|e| e.at == at).count()
+        if self.occupied != 0 {
+            self.slots[at as usize % WHEEL].len()
+        } else {
+            self.far.iter().filter(|e| e.at == at).count()
+        }
     }
 
     /// Clones of the front events in schedule (seq) order.
@@ -120,36 +161,64 @@ impl<E> EventQueue<E> {
         let Some(at) = self.peek_time() else {
             return Vec::new();
         };
-        let mut front: Vec<&Entry<E>> = self.heap.iter().filter(|e| e.at == at).collect();
+        if self.occupied != 0 {
+            return self.slots[at as usize % WHEEL].iter().cloned().collect();
+        }
+        let mut front: Vec<&Entry<E>> = self.far.iter().filter(|e| e.at == at).collect();
         front.sort_by_key(|e| e.seq);
         front.into_iter().map(|e| e.payload.clone()).collect()
     }
 
     /// Pop the `n`-th front event (0-based, schedule order), advancing
     /// time to the front cycle. The other front events keep their
-    /// original sequence numbers, so the residual FIFO order among them
-    /// is preserved. `n` out of range picks the last front event.
+    /// original order, so the residual FIFO order among them is
+    /// preserved. `n` out of range picks the last front event.
     pub fn pop_nth_front(&mut self, n: usize) -> Option<(Cycle, E)> {
         let at = self.peek_time()?;
-        let mut front = Vec::new();
-        while self.heap.peek().is_some_and(|e| e.at == at) {
-            front.push(self.heap.pop().expect("peeked entry"));
+        self.advance_to(at);
+        let i = at as usize % WHEEL;
+        let slot = &mut self.slots[i];
+        let payload = slot
+            .remove(n.min(slot.len() - 1))
+            .expect("front slot is non-empty");
+        if slot.is_empty() {
+            self.occupied &= !(1 << i);
         }
-        front.sort_by_key(|e| e.seq);
-        let chosen = front.remove(n.min(front.len() - 1));
-        for rest in front {
-            self.heap.push(rest);
-        }
+        self.len -= 1;
+        Some((at, payload))
+    }
+
+    /// Move `now` forward to `at` (the earliest pending cycle) and pull
+    /// the heap events the new window covers into their slots. Their
+    /// slots are empty: they last held cycles before `at`.
+    fn advance_to(&mut self, at: Cycle) {
+        debug_assert!(at >= self.now);
         self.now = at;
-        Some((at, chosen.payload))
+        let end = at.saturating_add(WHEEL as Cycle);
+        while self.far.peek().is_some_and(|e| e.at < end) {
+            let e = self.far.pop().expect("peeked entry");
+            let i = e.at as usize % WHEEL;
+            self.slots[i].push_back(e.payload);
+            self.occupied |= 1 << i;
+        }
     }
 
     /// Visit every pending event in deterministic `(cycle, seq)` order
     /// (used for state fingerprinting).
     pub fn for_each_sorted(&self, mut f: impl FnMut(Cycle, &E)) {
-        let mut entries: Vec<&Entry<E>> = self.heap.iter().collect();
-        entries.sort_by_key(|e| (e.at, e.seq));
-        for e in entries {
+        let mut ahead = self
+            .occupied
+            .rotate_right((self.now % WHEEL as Cycle) as u32);
+        while ahead != 0 {
+            let at = self.now + Cycle::from(ahead.trailing_zeros());
+            for e in &self.slots[at as usize % WHEEL] {
+                f(at, e);
+            }
+            ahead &= ahead - 1;
+        }
+        let mut far: Vec<&Entry<E>> = self.far.iter().collect();
+        far.sort_by_key(|e| (e.at, e.seq));
+        for e in far {
             f(e.at, &e.payload);
         }
     }
