@@ -10,7 +10,7 @@
 //! - mode-transition calls (`begin_htm`, `commit_htm`, `abort_locally`,
 //!   `enter_lock`, `exit_lock`, `hla_request`, `finish_hla`).
 //!
-//! After every call the engine drains [`MemSystem::take_outputs`]:
+//! After every call the engine drains [`MemSystem::drain_outputs`]:
 //! `(cycle, NetMsg)` pairs to re-schedule and `(cycle, CoreNotice)` pairs
 //! informing the per-core controllers of completions, rejects, aborts,
 //! wake-ups, and HLA results.
@@ -82,7 +82,10 @@ pub enum ProtoEvent {
 
 /// Scheduled network messages and core notices drained by the engine
 /// after each call into the memory system.
-pub type Outputs = (Vec<(Cycle, NetMsg)>, Vec<(Cycle, CoreNotice)>);
+pub type Outputs<'a> = (
+    std::vec::Drain<'a, (Cycle, NetMsg)>,
+    std::vec::Drain<'a, (Cycle, CoreNotice)>,
+);
 
 /// Asynchronous notifications to the per-core controllers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -285,12 +288,11 @@ impl MemSystem {
         }
     }
 
-    /// Drain scheduled messages and notices accumulated by the last call.
-    pub fn take_outputs(&mut self) -> Outputs {
-        (
-            std::mem::take(&mut self.out_msgs),
-            std::mem::take(&mut self.notices),
-        )
+    /// Drain scheduled messages and notices accumulated by the last call,
+    /// in recording order. The buffers keep their capacity, so the next
+    /// call's pushes do not allocate.
+    pub fn drain_outputs(&mut self) -> Outputs<'_> {
+        (self.out_msgs.drain(..), self.notices.drain(..))
     }
 
     /// Drain protocol observations, in recording order (empty unless

@@ -44,7 +44,7 @@ fn random_access_run(ops: &[(u8, u8, u8)], recovery: bool) {
             AccessResult::Overflow { .. } => unreachable!("non-tx access cannot overflow"),
         }
         // Pump to quiescence.
-        let (msgs, notices) = ms.take_outputs();
+        let (msgs, notices) = ms.drain_outputs();
         for (at, m) in msgs {
             q.schedule_at(at, m);
         }
@@ -55,7 +55,7 @@ fn random_access_run(ops: &[(u8, u8, u8)], recovery: bool) {
         }
         while let Some((at, m)) = q.pop() {
             ms.handle_msg(at, m);
-            let (msgs, notices) = ms.take_outputs();
+            let (msgs, notices) = ms.drain_outputs();
             for (at2, m2) in msgs {
                 q.schedule_at(at2, m2);
             }
@@ -92,10 +92,12 @@ fn random_tx_run(ops: &[(u8, u8, u8, u8)]) {
                 in_tx: &mut [bool; 4],
                 blocked: &mut [bool; 4]| {
         loop {
-            let (msgs, notices) = ms.take_outputs();
+            let (msgs, notices) = ms.drain_outputs();
             for (at, m) in msgs {
                 q.schedule_at(at, m);
             }
+            // Collected: the reject arm below calls back into `ms`.
+            let notices: Vec<_> = notices.collect();
             for (_, n) in notices {
                 match n {
                     coherence::memsys::CoreNotice::AccessDone { core } => blocked[core] = false,

@@ -27,7 +27,7 @@ impl Pump {
     }
 
     fn drain(&mut self) {
-        let (msgs, notices) = self.ms.take_outputs();
+        let (msgs, notices) = self.ms.drain_outputs();
         for (at, m) in msgs {
             self.q.schedule_at(at, m);
         }

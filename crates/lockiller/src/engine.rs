@@ -416,7 +416,7 @@ impl<'g> Engine<'g> {
     // ---------------- memory-subsystem output plumbing ----------------
 
     fn drain_ms(&mut self) {
-        let (msgs, notices) = self.ms.take_outputs();
+        let (msgs, notices) = self.ms.drain_outputs();
         for (at, m) in msgs {
             self.q.schedule_at(at, Ev::Net(m));
         }
