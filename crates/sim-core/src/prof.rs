@@ -6,8 +6,9 @@
 //! tie-breaks, response stamping, observability sampling) accumulate
 //! into a phase tree keyed by the full scope path. Per phase it records
 //! host nanoseconds (total and self), entry counts, and — when the
-//! `alloc-count` feature links the `tmprof-alloc` counting allocator —
-//! heap allocations and bytes.
+//! `alloc-count` feature is on and the binary registers the
+//! `tmprof-alloc` counting allocator (`tmtrace --features alloc-count`)
+//! — heap allocations and bytes.
 //!
 //! ## Zero cost when disabled, zero influence when enabled
 //!

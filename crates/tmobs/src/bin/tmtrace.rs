@@ -42,10 +42,18 @@
 //! `witness` renders `tmverify` schedule-witness files (see
 //! `tmobs::witness`) without re-executing them; use `tmverify replay`
 //! to re-run one.
+//!
+//! Built with `--features alloc-count`, `tmtrace` registers the counting
+//! allocator, so `flame` also attributes heap allocations to phases (the
+//! `allocs` column and field); without it they read 0.
 
 use lockiller::system::SystemKind;
 use stamp::{Scale, WorkloadKind};
 use tmobs::{diff_docs, run_trace, validate_chrome, TraceConfig};
+
+#[cfg(feature = "alloc-count")]
+#[global_allocator]
+static ALLOC: tmprof_alloc::CountingAlloc = tmprof_alloc::CountingAlloc;
 
 enum Cmd {
     Run,
