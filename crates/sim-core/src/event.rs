@@ -119,12 +119,7 @@ impl<E> EventQueue<E> {
     /// Time of the next pending event without popping it.
     pub fn peek_time(&self) -> Option<Cycle> {
         if self.occupied != 0 {
-            // Slot offsets from `now` in cycle order: rotate `now`'s
-            // slot to bit 0.
-            let ahead = self
-                .occupied
-                .rotate_right((self.now % WHEEL as Cycle) as u32);
-            Some(self.now + Cycle::from(ahead.trailing_zeros()))
+            Some(self.now + Cycle::from(self.ahead().trailing_zeros()))
         } else {
             self.far.peek().map(|e| e.at)
         }
@@ -188,6 +183,13 @@ impl<E> EventQueue<E> {
         Some((at, payload))
     }
 
+    /// `occupied` rotated so that bit `k` marks the slot of cycle
+    /// `now + k`: slots in cycle order.
+    fn ahead(&self) -> u64 {
+        self.occupied
+            .rotate_right((self.now % WHEEL as Cycle) as u32)
+    }
+
     /// Move `now` forward to `at` (the earliest pending cycle) and pull
     /// the heap events the new window covers into their slots. Their
     /// slots are empty: they last held cycles before `at`.
@@ -206,9 +208,7 @@ impl<E> EventQueue<E> {
     /// Visit every pending event in deterministic `(cycle, seq)` order
     /// (used for state fingerprinting).
     pub fn for_each_sorted(&self, mut f: impl FnMut(Cycle, &E)) {
-        let mut ahead = self
-            .occupied
-            .rotate_right((self.now % WHEEL as Cycle) as u32);
+        let mut ahead = self.ahead();
         while ahead != 0 {
             let at = self.now + Cycle::from(ahead.trailing_zeros());
             for e in &self.slots[at as usize % WHEEL] {
