@@ -444,9 +444,6 @@ impl<'g> Engine<'g> {
             .ok()
             .and_then(|v| v.parse().ok())
             .unwrap_or(Cycle::MAX);
-        // Read once: an env lookup per dispatched event is measurable on
-        // the in-process VM backend (the loop runs millions of times).
-        let env_check = std::env::var_os("LOCKILLER_CHECK").is_some();
         self.fingerprinting = sched.is_some();
         for c in 0..self.threads {
             self.q.schedule_at(0, Ev::Recv(c));
@@ -494,16 +491,12 @@ impl<'g> Engine<'g> {
                 self.end_time = self.q.now().max(self.end_time);
                 return RunEnd::CycleLimit { at: t };
             }
-            if env_check {
-                if let Err(e) = self.ms.check_swmr() {
-                    panic!("at cycle {t} before {ev:?}: {e}");
-                }
-            }
-            // Live SWMR surface for checked mode: record the first
-            // violation instead of panicking, so the checker can report
-            // it with the rest of the run's evidence.
+            // Live SWMR surface for checked mode: check the lines the
+            // previous event changed and record the first violation, so
+            // the checker can report it with the rest of the run's
+            // evidence.
             if self.cfg.check.enabled && self.stats.swmr_violation.is_none() {
-                if let Err(e) = self.ms.check_swmr() {
+                if let Err(e) = self.ms.check_swmr_changed() {
                     self.stats.swmr_violation = Some(format!("at cycle {t}: {e}"));
                 }
             }

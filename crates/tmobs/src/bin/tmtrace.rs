@@ -17,6 +17,8 @@
 //! under `tmtrace-out/`. `--validate` re-parses the written Chrome trace
 //! and checks its structural invariants (exit status 1 on failure, so CI
 //! can gate on it). Load the `.trace.json` in <https://ui.perfetto.dev>.
+//! An output directory or artifact that cannot be created, written or
+//! read back exits 2 with the path and the OS error.
 //!
 //! `blame` additionally renders the conflict forensics (attacker/victim
 //! matrix, per-line hotspots, recovery ledger), writes `<stem>.blame.json`,
@@ -49,7 +51,8 @@
 
 use lockiller::system::SystemKind;
 use stamp::{Scale, WorkloadKind};
-use tmobs::{diff_docs, run_trace, validate_chrome, TraceConfig};
+use std::path::{Path, PathBuf};
+use tmobs::{diff_docs, run_trace, validate_chrome, TraceArtifacts, TraceConfig};
 
 #[cfg(feature = "alloc-count")]
 #[global_allocator]
@@ -64,7 +67,7 @@ enum Cmd {
 struct Args {
     cmd: Cmd,
     cfg: TraceConfig,
-    out: std::path::PathBuf,
+    out: PathBuf,
     timeline: bool,
     validate: bool,
     verbose: bool,
@@ -90,7 +93,7 @@ fn parse_args(mut it: std::env::Args) -> Args {
     let mut args = Args {
         cmd: Cmd::Run,
         cfg: TraceConfig::new(WorkloadKind::Intruder, SystemKind::LockillerTm),
-        out: std::path::PathBuf::from("tmtrace-out"),
+        out: PathBuf::from("tmtrace-out"),
         timeline: false,
         validate: false,
         verbose: false,
@@ -401,8 +404,49 @@ fn main() {
         eprintln!("workload validation FAILED: {e}");
         std::process::exit(1);
     }
+    if let Err(e) = write_artifacts(&args, &art) {
+        eprintln!("tmtrace: {e}");
+        std::process::exit(2);
+    }
+}
 
-    std::fs::create_dir_all(&args.out).expect("create output directory");
+/// An artifact that could not be written or read back. `tmtrace` exits 2
+/// on it, naming the file.
+#[derive(Debug)]
+struct ArtifactError {
+    action: &'static str,
+    path: PathBuf,
+    err: std::io::Error,
+}
+
+impl std::fmt::Display for ArtifactError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "cannot {} {}: {}",
+            self.action,
+            self.path.display(),
+            self.err
+        )
+    }
+}
+
+fn write_file(path: &Path, contents: impl AsRef<[u8]>) -> Result<(), ArtifactError> {
+    std::fs::write(path, contents).map_err(|err| ArtifactError {
+        action: "write",
+        path: path.to_path_buf(),
+        err,
+    })
+}
+
+/// Write the session's artifacts under `args.out` and run the
+/// subcommand's checks over them (a failed check exits 1).
+fn write_artifacts(args: &Args, art: &TraceArtifacts) -> Result<(), ArtifactError> {
+    std::fs::create_dir_all(&args.out).map_err(|err| ArtifactError {
+        action: "create directory",
+        path: args.out.clone(),
+        err,
+    })?;
     let stem = format!(
         "{}-{}",
         args.cfg.workload.name(),
@@ -413,23 +457,30 @@ fn main() {
     let summary_path = args.out.join(format!("{stem}.summary.txt"));
     let stats_path = args.out.join(format!("{stem}.stats.json"));
     let selfprof_path = args.out.join(format!("{stem}.selfprof.json"));
-    std::fs::write(&trace_path, &art.chrome_json).expect("write trace");
-    std::fs::write(&jsonl_path, &art.metrics_jsonl).expect("write metrics");
-    std::fs::write(&summary_path, &art.summary).expect("write summary");
-    std::fs::write(&stats_path, art.stats.to_json()).expect("write stats");
-    std::fs::write(&selfprof_path, &art.selfprof_json).expect("write selfprof");
+    write_file(&trace_path, &art.chrome_json)?;
+    write_file(&jsonl_path, &art.metrics_jsonl)?;
+    write_file(&summary_path, &art.summary)?;
+    write_file(&stats_path, art.stats.to_json())?;
+    write_file(&selfprof_path, &art.selfprof_json)?;
 
     if matches!(args.cmd, Cmd::Flame) {
-        let report = art.host_prof.as_ref().expect("flame runs with profiling");
+        let Some(report) = art.host_prof.as_ref() else {
+            eprintln!("flame FAILED: the session ran without the profiler");
+            std::process::exit(1);
+        };
         let flame_text = tmobs::flame(report);
         let flame_path = args.out.join(format!("{stem}.flame.txt"));
         let prof_trace_path = args.out.join(format!("{stem}.prof.trace.json"));
-        std::fs::write(&flame_path, &flame_text).expect("write flamegraph");
-        std::fs::write(&prof_trace_path, tmobs::chrome_prof(report)).expect("write prof trace");
+        write_file(&flame_path, &flame_text)?;
+        write_file(&prof_trace_path, tmobs::chrome_prof(report))?;
         print!("{}", tmobs::render_prof(report));
         // The acceptance bar: collapsed-stack totals reconcile with the
         // archived selfprof.json to the millisecond.
-        let flame_ms = tmobs::flame_total_us(&flame_text).expect("well-formed flame") as f64 / 1e3;
+        let Some(flame_us) = tmobs::flame_total_us(&flame_text) else {
+            eprintln!("flame reconciliation FAILED: malformed collapsed-stack line");
+            std::process::exit(1);
+        };
+        let flame_ms = flame_us as f64 / 1e3;
         let prof_ms = report.total_ns as f64 / 1e6;
         if (flame_ms - prof_ms).abs() >= 1.0 {
             eprintln!(
@@ -449,7 +500,7 @@ fn main() {
             eprintln!("blame JSON validation FAILED: {e}");
             std::process::exit(1);
         }
-        std::fs::write(&blame_path, &doc).expect("write blame");
+        write_file(&blame_path, &doc)?;
         print!("{}", art.forensics.render(args.top));
         match art.forensics.reconcile(&art.stats) {
             Ok(()) => println!(
@@ -485,7 +536,11 @@ fn main() {
     println!("open the trace at https://ui.perfetto.dev");
 
     if args.validate {
-        let written = std::fs::read_to_string(&trace_path).expect("re-read trace");
+        let written = std::fs::read_to_string(&trace_path).map_err(|err| ArtifactError {
+            action: "read back",
+            path: trace_path.clone(),
+            err,
+        })?;
         match validate_chrome(&written) {
             Ok(s) => println!(
                 "validated: {} spans on {} tracks, {} counter samples in {} series, {} instants",
@@ -497,4 +552,5 @@ fn main() {
             }
         }
     }
+    Ok(())
 }
